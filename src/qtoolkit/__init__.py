@@ -7,15 +7,19 @@ their doubled dynamics, closed-form quantum gases with KMS checks, and
 cyclic (GNS) representations with induced generators.  Symbolic routes
 are exact over the rationals or Gaussian integers; matrix routes are
 held to 1e-12 against closed forms or brute-force oracles.
+
+Submodules load on first attribute access (PEP 562), so a command line
+pays only for the modules it uses; `import qtoolkit` alone loads just the
+error types.
 """
 
-from . import (cli, decoherence, evolution, fock, geometry_gns, grassmann,
-               lfunctional, serialize, statmech, weyl_clifford)
+import importlib
+
 from .errors import NumericalError, ValidationError
 
 __version__ = "0.1.0"
 
-__all__ = [
+_SUBMODULES = (
     "cli",
     "decoherence",
     "evolution",
@@ -26,7 +30,23 @@ __all__ = [
     "serialize",
     "statmech",
     "weyl_clifford",
+)
+
+__all__ = [
+    *_SUBMODULES,
     "NumericalError",
     "ValidationError",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        # The import binds the submodule as a package attribute, so this
+        # hook runs at most once per name.
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

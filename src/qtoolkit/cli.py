@@ -279,6 +279,8 @@ def _cmd_lfunc_green(args, cfg):
 
     if args.n <= 0:
         raise ValidationError("need a positive occupation for a pole fit")
+    if not (args.dt > 0 and np.isfinite(args.window)):
+        raise ValidationError("need --dt > 0 and a finite --window")
     taus = np.arange(0.0, args.window, args.dt)
     res = two_point_green([args.n], [args.eps], taus, mode=1,
                           hbar=args.hbar, resolution=cfg.tol)
@@ -474,8 +476,12 @@ def run(argv) -> int:
         payload, header, rows = args.handler(args, cfg)
         data = emit(payload, cfg.fmt, header, rows)
         if cfg.out:
-            with open(cfg.out, "wb") as sink:
-                sink.write(data)
+            try:
+                with open(cfg.out, "wb") as sink:
+                    sink.write(data)
+            except OSError as exc:
+                raise ValidationError(
+                    f"cannot write --out {cfg.out!r}: {exc.strerror}") from exc
         else:
             sys.stdout.buffer.write(data)
             sys.stdout.buffer.flush()

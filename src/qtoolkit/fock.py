@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 __all__ = [
     "FockSpec",
@@ -322,15 +322,24 @@ def poisson_vector(spec: FockSpec, f: Sequence[complex]) -> FockVector:
         raise ValidationError("f length must equal mode count")
     amps = np.ones(spec.dim, dtype=complex)
     occ = spec.occupations
-    for k in range(spec.modes):
-        n = occ[:, k]
-        # f^n / sqrt(hbar^n n!) accumulated per mode
-        coeff = np.array(
-            [f[k] ** int(j) / math.sqrt(spec.hbar ** int(j) * math.factorial(int(j)))
-             for j in range(spec.cutoffs[k] + 1)]
-        )
-        amps = amps * coeff[n]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(spec.modes):
+            amps = amps * _poisson_coefficients(f[k], spec.hbar,
+                                                spec.cutoffs[k])[occ[:, k]]
+    if not np.all(np.isfinite(amps)):
+        raise NumericalError("Poisson amplitudes exceed double range")
     return FockVector(spec, amps)
+
+
+def _poisson_coefficients(f: complex, hbar: float, cutoff: int) -> np.ndarray:
+    """f^n / sqrt(hbar^n n!) for n = 0..cutoff.
+
+    Built as a running product of f / sqrt(hbar n), so no power or
+    factorial is formed: a coefficient is non-finite only when it is
+    itself beyond double range.
+    """
+    ratios = f / np.sqrt(hbar * np.arange(1, cutoff + 1))
+    return np.cumprod(np.concatenate(([1.0 + 0j], ratios)))
 
 
 def poisson_overlap(spec: FockSpec, f: Sequence[complex], g: Sequence[complex]) -> complex:
@@ -361,16 +370,16 @@ def poisson_eigen_defect(spec: FockSpec, f: Sequence[complex], k: int) -> Poisso
     theta = poisson_vector(spec, f)
     a_k = annihilation_matrix(spec, k)
     resid = a_k @ theta.amplitudes - f[km] * theta.amplitudes
-    defect = float(np.linalg.norm(resid))
-
     c = spec.cutoffs[km]
-    bound = abs(f[km]) ** (c + 1) / math.sqrt(spec.hbar ** c * math.factorial(c))
-    for j in range(spec.modes):
-        if j == km:
-            continue
-        s2 = sum(abs(f[j]) ** (2 * n) / (spec.hbar ** n * math.factorial(n))
-                 for n in range(spec.cutoffs[j] + 1))
-        bound *= math.sqrt(s2)
+    with np.errstate(over="ignore"):
+        defect = float(np.linalg.norm(resid))
+        bound = abs(f[km]) * abs(_poisson_coefficients(f[km], spec.hbar, c)[c])
+        for j in range(spec.modes):
+            if j != km:
+                bound *= float(np.linalg.norm(
+                    _poisson_coefficients(f[j], spec.hbar, spec.cutoffs[j])))
+    if not (math.isfinite(defect) and math.isfinite(bound)):
+        raise NumericalError("Poisson defect exceeds double range")
     return PoissonDefect(defect=defect, tail_bound=float(bound))
 
 

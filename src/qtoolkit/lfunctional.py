@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError, ValidationError
 from .fock import DensityMatrix, FockSpec, annihilation_matrix, creation_matrix
@@ -623,6 +622,8 @@ def evolve_L(l0: TaylorLFunctional, h: NormalOrderedPolynomial, t: float,
     keys = _all_keys(l0.modes, l0.degree)
     gen = _evolution_generator(h, keys, l0.hbar)
     vec = np.array([l0.value(*key) for key in keys], dtype=complex)
+    import scipy.linalg  # deferred: importing it costs ~0.3 s at start-up
+
     slice_map = scipy.linalg.expm(gen * (t / steps))
     for _ in range(steps):
         vec = slice_map @ vec

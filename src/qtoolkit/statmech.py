@@ -119,13 +119,6 @@ class FreeGasResult:
     energy: float
     occupations: tuple[float, ...]
 
-    @property
-    def entropy(self) -> float:
-        # S = beta E + log Z holds for Gibbs states; beta is recoverable
-        # from the stored fields only by the caller, so expose the identity
-        # pieces instead of guessing.
-        raise AttributeError("use beta*energy + log_z at the caller's beta")
-
 
 def free_gas(eps: Sequence[float], beta: float, statistics: str) -> FreeGasResult:
     """Closed-form Z, E, and occupations for a free gas.

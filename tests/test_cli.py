@@ -5,10 +5,14 @@ stdout bytes, and stderr diagnostics can be asserted exactly.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qtoolkit
 from qtoolkit import cli
 from qtoolkit.serialize import matrix_to_json
 
@@ -27,6 +31,16 @@ def invoke_bytes(argv, capsysbinary):
 
 def matrix_arg(m):
     return json.dumps(matrix_to_json(np.asarray(m, dtype=complex)))
+
+
+def fresh_python(args):
+    """Run `python ARGS` in a new interpreter that imports this qtoolkit."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qtoolkit.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src if not path else os.pathsep.join([src, path]))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          env=env, timeout=120, check=False)
 
 
 class TestExitCodes:
@@ -72,6 +86,25 @@ class TestExitCodes:
             ["gns", "construct", "--rho", "{not json"], capsys)
         assert code == 2
         assert json.loads(err)["error"] == "validation"
+
+    @pytest.mark.parametrize("argv, code, kind", [
+        (["lfunc", "green", "--dt", "0"], 2, "validation"),
+        (["lfunc", "green", "--window", "nan"], 2, "validation"),
+        (["evolve", "trotter", "--n", ","], 2, "validation"),
+        (["evolve", "trotter", "--n", "16"], 2, "validation"),
+        (["statmech", "sweep", "--out", "{missing_dir}/x"], 2, "validation"),
+        (["fock", "poisson", "--cutoffs", "900", "--f", "30"], 3,
+         "numerical"),
+    ], ids=["green-dt-zero", "green-window-nan", "trotter-no-slices",
+            "trotter-one-slice-count", "out-missing-dir", "poisson-overflow"])
+    def test_bad_input_exits_with_json_not_traceback(self, argv, code, kind,
+                                                     tmp_path, capsys):
+        argv = [a.format(missing_dir=tmp_path / "missing") for a in argv]
+        got, out, err = invoke(argv, capsys)
+        assert got == code
+        assert out == ""
+        assert "Traceback" not in err
+        assert json.loads(err)["error"] == kind
 
 
 class TestDeterminism:
@@ -210,6 +243,15 @@ class TestFock:
         for defect, tail in zip(payload["defects"], payload["tail_bounds"]):
             assert defect <= tail + 1e-15
 
+    def test_poisson_large_drift_is_finite(self, capsys):
+        code, out, _ = invoke(
+            ["fock", "poisson", "--cutoffs", "200", "--f", "30"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        # one mode: the defect is the single top-level component, |f| c_200
+        assert payload["defects"][0] == pytest.approx(
+            payload["tail_bounds"][0], rel=1e-12)
+
 
 class TestWeylAndEvolve:
     def test_associativity_is_exact(self, capsys):
@@ -288,3 +330,36 @@ class TestGns:
             ["gns", "construct", "--rho", rho, "--h", h], capsys)
         assert code == 2
         assert json.loads(err)["error"] == "validation"
+
+
+class TestImport:
+    def test_cli_import_loads_no_handler_module_or_scipy(self):
+        proc = fresh_python(["-c", (
+            "import json, sys, qtoolkit.cli; "
+            "print(json.dumps(sorted(sys.modules)))")])
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(json.loads(proc.stdout))
+        lazy = {"scipy"} | {f"qtoolkit.{m}" for m in (
+            "evolution", "decoherence", "lfunctional", "geometry_gns",
+            "statmech", "grassmann", "weyl_clifford", "fock")}
+        assert not lazy & loaded
+
+    def test_submodules_load_on_attribute_access(self):
+        proc = fresh_python(["-c", (
+            "import qtoolkit; "
+            "assert qtoolkit.fock.FockSpec.__name__ == 'FockSpec'; "
+            "assert set(qtoolkit.__all__) <= set(dir(qtoolkit)); "
+            "print(hasattr(qtoolkit, 'no_such_module'))")])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == b"False\n"
+
+    def test_module_entry_matches_console_entry(self):
+        argv = ["statmech", "sweep", "--eps", "1", "--stat", "fermi",
+                "--beta", "0.693"]
+        as_module = fresh_python(["-m", "qtoolkit.cli", *argv])
+        as_script = fresh_python(
+            ["-c", "import sys; from qtoolkit.cli import main; "
+                   "sys.exit(main())", *argv])
+        assert as_module.returncode == as_script.returncode == 0
+        assert as_module.stderr == b""  # no runpy RuntimeWarning
+        assert as_module.stdout == as_script.stdout

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtoolkit.errors import ValidationError
+from qtoolkit.errors import NumericalError, ValidationError
 from qtoolkit.fock import (
     DensityMatrix,
     FockSpec,
@@ -206,6 +206,21 @@ class TestPoissonVectors:
         # the residual is supported on the top level up to rounding
         assert np.all(np.abs(resid[:-1]) <= 1e-14)
         assert abs(resid[-1]) > 0
+
+    def test_large_drift_matches_log_space_amplitudes(self):
+        # f^n / sqrt(n!) peaks near 1e108 here; n! itself exceeds double
+        # range from n = 171 on.
+        lam = 18.0 + 24.0j
+        theta = poisson_vector(FockSpec.bose([200]), [lam])
+        n = np.arange(201)
+        log_mag = np.array([k * math.log(abs(lam)) - 0.5 * math.lgamma(k + 1)
+                            for k in n])
+        want = np.exp(log_mag + 1j * n * np.angle(lam))
+        assert np.all(np.abs(theta.amplitudes - want) <= 1e-12 * np.abs(want))
+
+    def test_amplitudes_beyond_double_range_raise(self):
+        with pytest.raises(NumericalError):
+            poisson_vector(FockSpec.bose([5]), [1e100])
 
     def test_fermionic_rejected(self):
         with pytest.raises(ValidationError):
