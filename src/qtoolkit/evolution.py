@@ -369,11 +369,18 @@ def _tree_product(steps: np.ndarray) -> np.ndarray:
 
 
 def _sample_matrices(fn: Callable, xs: np.ndarray, dim: int) -> np.ndarray:
-    """Evaluate a matrix-valued callable on many points, batched if it can."""
+    """Evaluate a matrix-valued callable on many points, batched if it can.
+
+    A family that cannot take an array of points (any other exception, or
+    the wrong shape) is evaluated point by point; its own ValidationError
+    or NumericalError propagates.
+    """
     try:
         out = np.asarray(fn(xs), dtype=complex)
         if out.shape == (len(xs), dim, dim):
             return out
+    except (ValidationError, NumericalError):
+        raise
     except Exception:
         pass
     return np.stack([np.asarray(fn(x), dtype=complex) for x in xs])

@@ -349,6 +349,20 @@ def poisson_overlap(spec: FockSpec, f: Sequence[complex], g: Sequence[complex]) 
     return complex(np.exp(np.sum(f * np.conj(g)) / spec.hbar))
 
 
+def _scaled_norm(v: np.ndarray) -> float:
+    """Euclidean norm of v, finite whenever the norm itself is.
+
+    v is scaled by the power of two that brings its largest modulus into
+    [0.5, 1) before squaring; the scale is exact, so the result equals
+    np.linalg.norm(v) bit for bit wherever that is finite.
+    """
+    _, e = math.frexp(float(np.abs(v).max(initial=0.0)))
+    e = min(max(e, -1021), 1023)  # both 2**e and 2**-e stay normal floats
+    scaled = np.linalg.norm(v * math.ldexp(1.0, -e))
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(scaled, e))
+
+
 @dataclass(frozen=True)
 class PoissonDefect:
     defect: float
@@ -372,12 +386,12 @@ def poisson_eigen_defect(spec: FockSpec, f: Sequence[complex], k: int) -> Poisso
     resid = a_k @ theta.amplitudes - f[km] * theta.amplitudes
     c = spec.cutoffs[km]
     with np.errstate(over="ignore"):
-        defect = float(np.linalg.norm(resid))
+        defect = _scaled_norm(resid)
         bound = abs(f[km]) * abs(_poisson_coefficients(f[km], spec.hbar, c)[c])
         for j in range(spec.modes):
             if j != km:
-                bound *= float(np.linalg.norm(
-                    _poisson_coefficients(f[j], spec.hbar, spec.cutoffs[j])))
+                bound *= _scaled_norm(
+                    _poisson_coefficients(f[j], spec.hbar, spec.cutoffs[j]))
     if not (math.isfinite(defect) and math.isfinite(bound)):
         raise NumericalError("Poisson defect exceeds double range")
     return PoissonDefect(defect=defect, tail_bound=float(bound))

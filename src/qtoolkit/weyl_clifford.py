@@ -1,13 +1,15 @@
 """Exact symbolic Weyl and Clifford algebras in normal form.
 
 A polynomial in creation/annihilation symbols is stored in normal form: every
-creation factor precedes every annihilation factor.  Products are computed by
-word reduction: moving an annihilator through a creator produces the swapped
-word plus a contraction term (hbar per bosonic pairing, a parity-signed unit
-contraction for fermions).  Coefficient arithmetic is plain complex
-arithmetic with no truncation or pruning threshold: only exact zeros are
-removed, so with dyadic-rational inputs (integers, halves, quarters...)
-every algebraic identity, associativity included, holds bit-exactly.
+creation factor precedes every annihilation factor.  Products contract each
+pair of terms in closed form (Wick's theorem): bosons mode by mode,
+a^k a*^l = sum_j j! C(k,j) C(l,j) hbar^j a*^(l-j) a^(k-j); fermions by a
+signed sum over the subsets of annihilated modes that the right factor
+creates, each contracted pair giving a unit.  Coefficient arithmetic is
+plain complex arithmetic with no truncation or pruning threshold: only exact
+zeros are removed, so with dyadic-rational inputs (integers, halves,
+quarters...) every algebraic identity, associativity included, holds
+bit-exactly.
 
 Bosonic term keys are pairs of per-mode degree tuples (alpha, beta) for
 a*^alpha a^beta; fermionic keys are pairs of bitmasks (cmask, amask), each
@@ -16,15 +18,17 @@ block written in increasing mode order.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
 from . import fock
+from .grassmann import _merge_sign
 
 __all__ = [
     "NormalOrderedPolynomial",
@@ -177,82 +181,49 @@ def annihilator(statistics: str, modes: int, k: int, hbar: float = 1.0
 
 
 # ---------------------------------------------------------------------------
-# word reduction
+# closed-form contraction
 
 
-def _sort_parity(indices: Sequence[int]) -> tuple[tuple[int, ...], int]:
-    """Sort generator indices, returning the permutation parity sign."""
-    items = list(indices)
-    sign = 1
-    # insertion sort; each adjacent swap is one transposition
-    for i in range(1, len(items)):
-        j = i
-        while j > 0 and items[j - 1] > items[j]:
-            items[j - 1], items[j] = items[j], items[j - 1]
-            sign = -sign
-            j -= 1
-    return tuple(items), sign
+def _bose_pair(key_a, key_b, hbar_powers: Sequence[float]):
+    """Normal form of a*^al a^be . a*^ga a^de as (key, coefficient) pairs.
 
-
-def _accumulate_bose(result: dict, modes: int, creations: list, annihilations: list,
-                     coeff: complex) -> None:
-    alpha = [0] * modes
-    beta = [0] * modes
-    for k in creations:
-        alpha[k] += 1
-    for k in annihilations:
-        beta[k] += 1
-    key = (tuple(alpha), tuple(beta))
-    result[key] = result.get(key, 0j) + coeff
-
-
-def _accumulate_fermi(result: dict, creations: list, annihilations: list,
-                      coeff: complex) -> None:
-    c_sorted, sc = _sort_parity(creations)
-    a_sorted, sa = _sort_parity(annihilations)
-    if len(set(c_sorted)) != len(c_sorted) or len(set(a_sorted)) != len(a_sorted):
-        return  # repeated fermionic generator: term vanishes
-    cmask = 0
-    for k in c_sorted:
-        cmask |= 1 << k
-    amask = 0
-    for k in a_sorted:
-        amask |= 1 << k
-    key = (cmask, amask)
-    result[key] = result.get(key, 0j) + coeff * sc * sa
-
-
-def _normal_order_word(word: tuple, statistics: str, modes: int, hbar: float) -> dict:
-    """Reduce a word of (is_creation, mode) factors to normal form.
-
-    Returns a term map.  Bosonic swaps commute with contraction hbar;
-    fermionic swaps anticommute with unit contraction.
+    Per mode a^k a*^l = sum_j j! C(k,j) C(l,j) hbar^j a*^(l-j) a^(k-j);
+    the integer weights multiply across modes and hbar enters once as
+    hbar_powers[sum j].  Every contraction choice gives a distinct key.
     """
-    result: dict = {}
-    fermi = statistics == "fermi"
-    stack = [(word, 1.0 + 0j)]
-    while stack:
-        w, coeff = stack.pop()
-        swap_at = -1
-        for t in range(len(w) - 1):
-            if (not w[t][0]) and w[t + 1][0]:
-                swap_at = t
-                break
-        if swap_at < 0:
-            creations = [m for is_c, m in w if is_c]
-            annihilations = [m for is_c, m in w if not is_c]
-            if fermi:
-                _accumulate_fermi(result, creations, annihilations, coeff)
-            else:
-                _accumulate_bose(result, modes, creations, annihilations, coeff)
-            continue
-        t = swap_at
-        swapped = w[:t] + (w[t + 1], w[t]) + w[t + 2:]
-        stack.append((swapped, -coeff if fermi else coeff))
-        if w[t][1] == w[t + 1][1]:
-            contracted = w[:t] + w[t + 2:]
-            stack.append((contracted, coeff * (1.0 if fermi else hbar)))
-    return result
+    (al, be), (ga, de) = key_a, key_b
+    choices = [range(min(k, l) + 1) for k, l in zip(be, ga)]
+    for js in itertools.product(*choices):
+        weight = 1
+        for j, k, l in zip(js, be, ga):
+            weight *= math.factorial(j) * math.comb(k, j) * math.comb(l, j)
+        key = (tuple(x + l - j for x, l, j in zip(al, ga, js)),
+               tuple(k - j + y for k, j, y in zip(be, js, de)))
+        yield key, weight * hbar_powers[sum(js)]
+
+
+def _fermi_pair(key_a, key_b):
+    """Normal form of a*^c1 a^a1 . a*^c2 a^a2 as (key, sign) pairs.
+
+    Each subset S of a1 & c2 is contracted once: a^a1 = +/- a^ar a^S and
+    a*^c2 = +/- a*^S a*^cr split off S, a^S a*^S contracts to
+    (-1)^(k(k-1)/2), a^ar passes a*^cr, and the outer blocks merge.
+    """
+    (c1, a1), (c2, a2) = (map(int, key) for key in (key_a, key_b))
+    common = a1 & c2
+    s = common
+    while True:
+        ar, cr = a1 & ~s, c2 & ~s
+        if not (c1 & cr or ar & a2):
+            k = s.bit_count()
+            sign = (_merge_sign(ar, s) * _merge_sign(s, cr)
+                    * _merge_sign(c1, cr) * _merge_sign(ar, a2))
+            if (k * (k - 1) // 2 + ar.bit_count() * cr.bit_count()) & 1:
+                sign = -sign
+            yield (c1 | cr, ar | a2), sign
+        if s == 0:
+            return
+        s = (s - 1) & common
 
 
 def _key_to_word(statistics: str, modes: int, key) -> tuple:
@@ -283,35 +254,47 @@ def product(a: NormalOrderedPolynomial, b: NormalOrderedPolynomial,
         raise ValidationError(
             f"product degree would exceed the cap {degree_cap}; "
             "raise degree_cap explicitly if this is intended")
+    if a.statistics == "bose":
+        # repeated products, as contractions accumulate hbar one at a
+        # time; unlike hbar ** j they overflow to inf instead of raising
+        powers = [1.0]
+        for _ in range(min(dc[1], db[0])):
+            powers.append(powers[-1] * a.hbar)
+
+        def pair(key_a, key_b):
+            return _bose_pair(key_a, key_b, powers)
+    else:
+        pair = _fermi_pair
     out: dict = {}
     for key_a, ca in a.terms.items():
-        word_a = _key_to_word(a.statistics, a.modes, key_a)
         for key_b, cb in b.terms.items():
-            word = word_a + _key_to_word(b.statistics, b.modes, key_b)
-            reduced = _normal_order_word(word, a.statistics, a.modes, a.hbar)
             c = ca * cb
-            for key, r in reduced.items():
+            for key, r in pair(key_a, key_b):
                 out[key] = out.get(key, 0j) + c * r
     return NormalOrderedPolynomial(a.statistics, a.modes, a.hbar, out)
 
 
+def _conjugate_terms(statistics: str, terms: dict) -> dict:
+    """Conjugate-linear reversal of a normal-form term map.
+
+    (a*^C a^A)* = a*^{rev A} a^{rev C}; for fermions re-sorting each
+    reversed block to increasing order costs parity (-1)^{n(n-1)/2}.
+    """
+    out: dict = {}
+    for (alpha, beta), coeff in terms.items():
+        coeff = coeff.conjugate()
+        if statistics == "fermi":
+            nc, na = int(alpha).bit_count(), int(beta).bit_count()
+            if (nc * (nc - 1) // 2 + na * (na - 1) // 2) & 1:
+                coeff = -coeff
+        key = (beta, alpha)
+        out[key] = out.get(key, 0j) + coeff
+    return out
+
+
 def involution(a: NormalOrderedPolynomial) -> NormalOrderedPolynomial:
     """Conjugate-linear, order-reversing star operation; (AB)* = B*A*."""
-    out: dict = {}
-    if a.statistics == "bose":
-        for (alpha, beta), coeff in a.terms.items():
-            key = (beta, alpha)
-            out[key] = out.get(key, 0j) + coeff.conjugate()
-    else:
-        for (cmask, amask), coeff in a.terms.items():
-            # (a*^C a^A)* = a*^{rev A} a^{rev C}; re-sorting each reversed
-            # block to increasing order costs parity (-1)^{n(n-1)/2}
-            nc = int(cmask).bit_count()
-            na = int(amask).bit_count()
-            sign = (-1) ** (nc * (nc - 1) // 2 + na * (na - 1) // 2)
-            key = (amask, cmask)
-            out[key] = out.get(key, 0j) + sign * coeff.conjugate()
-    return NormalOrderedPolynomial(a.statistics, a.modes, a.hbar, out)
+    return a._like(_conjugate_terms(a.statistics, a.terms))
 
 
 def commutator(a: NormalOrderedPolynomial, b: NormalOrderedPolynomial,
@@ -336,19 +319,8 @@ class WickSymbol:
     terms: dict
 
     def conjugate(self) -> "WickSymbol":
-        out: dict = {}
-        if self.statistics == "bose":
-            for (alpha, beta), coeff in self.terms.items():
-                key = (beta, alpha)
-                out[key] = out.get(key, 0j) + coeff.conjugate()
-        else:
-            for (cmask, amask), coeff in self.terms.items():
-                nc = int(cmask).bit_count()
-                na = int(amask).bit_count()
-                sign = (-1) ** (nc * (nc - 1) // 2 + na * (na - 1) // 2)
-                key = (amask, cmask)
-                out[key] = out.get(key, 0j) + sign * coeff.conjugate()
-        return WickSymbol(self.statistics, self.modes, out)
+        return WickSymbol(self.statistics, self.modes,
+                          _conjugate_terms(self.statistics, self.terms))
 
     def evaluate(self, astar: Sequence[complex], a: Sequence[complex]) -> complex:
         if self.statistics != "bose":

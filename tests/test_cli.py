@@ -93,7 +93,7 @@ class TestExitCodes:
         (["evolve", "trotter", "--n", ","], 2, "validation"),
         (["evolve", "trotter", "--n", "16"], 2, "validation"),
         (["statmech", "sweep", "--out", "{missing_dir}/x"], 2, "validation"),
-        (["fock", "poisson", "--cutoffs", "900", "--f", "30"], 3,
+        (["fock", "poisson", "--cutoffs", "900", "--f", "100"], 3,
          "numerical"),
     ], ids=["green-dt-zero", "green-window-nan", "trotter-no-slices",
             "trotter-one-slice-count", "out-missing-dir", "poisson-overflow"])
@@ -251,6 +251,16 @@ class TestFock:
         # one mode: the defect is the single top-level component, |f| c_200
         assert payload["defects"][0] == pytest.approx(
             payload["tail_bounds"][0], rel=1e-12)
+
+    def test_poisson_defect_beyond_squared_range(self, capsys):
+        # |f| c_900 is about 9.4e195: representable, though its square is not
+        code, out, _ = invoke(
+            ["fock", "poisson", "--cutoffs", "900", "--f", "30"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["defects"][0] == pytest.approx(
+            payload["tail_bounds"][0], rel=1e-12)
+        assert payload["defects"][0] > 1e195
 
 
 class TestWeylAndEvolve:

@@ -295,6 +295,27 @@ def test_propagate_linear_ode_step_underflow():
                              start_steps=8, max_steps=64)
 
 
+@pytest.mark.parametrize("error", [ValidationError, NumericalError])
+def test_propagate_linear_ode_family_error_propagates(error):
+    calls = []
+
+    def family(s):
+        calls.append(s)
+        raise error("family refuses")
+
+    with pytest.raises(error, match="family refuses"):
+        propagate_linear_ode(family, 2, 0.0, 1.0, start_steps=8)
+    assert len(calls) == 1  # not re-run one point at a time
+
+
+def test_propagate_linear_ode_scalar_only_family():
+    # float(s) fails on the batch of nodes, so each node is sampled alone
+    a = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
+    u, _ = propagate_linear_ode(lambda s: float(s) * a, 2, 0.0, 1.0,
+                                tol=1e-10, start_steps=8)
+    assert np.abs(u - scipy.linalg.expm(0.5 * a)).max() <= 1e-9
+
+
 # ---------------------------------------------------------------------------
 # adiabatic evolution
 

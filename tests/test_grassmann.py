@@ -28,6 +28,8 @@ from qtoolkit.grassmann import (
     sin_element,
 )
 
+from oracles import pfaffian_expansion
+
 
 def eps(n, *indices):
     out = scalar(n, 1.0)
@@ -234,6 +236,8 @@ class TestGaussianIntegral:
 
     def test_odd_dimension_returns_zero(self):
         assert gaussian_integral(np.zeros((3, 3))) == 0
+        m = np.random.default_rng(59).normal(size=(7, 7))
+        assert gaussian_integral(m - m.T) == 0
 
     def test_rejects_nonantisymmetric(self):
         with pytest.raises(ValidationError):
@@ -265,6 +269,49 @@ class TestGaussianIntegral:
         lhs = gaussian_integral(t.T @ a @ t)
         rhs = np.linalg.det(t) * gaussian_integral(a)
         assert abs(lhs - rhs) <= 1e-10 * max(abs(rhs), 1.0)
+
+
+class TestPfaffianElimination:
+    @staticmethod
+    def hadamard(a):
+        """Product of row norms: an upper bound for |det a|."""
+        return float(np.prod(np.linalg.norm(a, axis=1)))
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_matches_expansion(self, complex_entries):
+        rng = np.random.default_rng(41)
+        for n in range(2, 15, 2):
+            for _ in range(3):
+                m = rng.normal(size=(n, n))
+                if complex_entries:
+                    m = m + 1j * rng.normal(size=(n, n))
+                a = m - m.T
+                want = pfaffian_expansion(a)
+                assert abs(pfaffian(a) - want) <= 1e-12 * abs(want)
+
+    def test_integer_entries_match_expansion(self):
+        rng = np.random.default_rng(43)
+        for n in (4, 8, 12):
+            upper = np.triu(rng.integers(-3, 4, size=(n, n)), 1)
+            a = (upper - upper.T).astype(float)
+            want = pfaffian_expansion(a)
+            assert abs(pfaffian(a) - want) <= 1e-12 * self.hadamard(a) ** 0.5
+
+    def test_singular_gives_zero(self):
+        rng = np.random.default_rng(53)
+        m = rng.normal(size=(6, 6))
+        a = m - m.T
+        a[3, :] = 0.0
+        a[:, 3] = 0.0
+        assert pfaffian(a) == 0
+        assert pfaffian(np.zeros((8, 8))) == 0
+
+    def test_squared_is_determinant_at_n_40(self):
+        rng = np.random.default_rng(61)
+        m = rng.normal(size=(40, 40))
+        a = m - m.T
+        pf = pfaffian(a)
+        assert abs(pf * pf - np.linalg.det(a)) <= 1e-12 * self.hadamard(a)
 
 
 class TestChangeOfVariables:
@@ -354,6 +401,12 @@ class TestExpressionLanguage:
     def test_unknown_function_rejected(self):
         with pytest.raises(ValidationError):
             parse_expression("tan(e1 e2)")
+
+    def test_nilpotent_power_stops_at_zero(self):
+        # the loop ends once the power vanishes, so a huge exponent is cheap
+        assert parse_expression("e1^1000000000", n=2).is_zero()
+        assert parse_expression("(e1 + e2)^1000000000").is_zero()
+        assert parse_expression("(e1 + e2)^0").terms == {0: 1.0 + 0j}
 
     def test_unbalanced_paren_rejected(self):
         with pytest.raises(ValidationError):

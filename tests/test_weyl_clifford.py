@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -23,6 +24,8 @@ from qtoolkit.weyl_clifford import (
     wick_symbol,
     zero,
 )
+
+from oracles import word_reduction
 
 
 def bose_unit(m=1, hbar=1.0):
@@ -117,6 +120,16 @@ class TestProducts:
         }
         assert lhs.terms == want
 
+    def test_bose_contraction_formula_degree_eight(self):
+        # a^8 (a*)^8 = sum_j j! C(8,j)^2 hbar^j (a*)^(8-j) a^(8-j)
+        hbar = 0.5
+        a = poly("bose", 1, {((0,), (8,)): 1.0}, hbar)
+        b = poly("bose", 1, {((8,), (0,)): 1.0}, hbar)
+        want = {((8 - j,), (8 - j,)): complex(
+                    math.factorial(j) * math.comb(8, j) ** 2 * hbar ** j)
+                for j in range(9)}
+        assert product(a, b, 16).terms == want
+
     @given(a=bose_polys(), b=bose_polys(), c=bose_polys())
     @settings(max_examples=60, deadline=None)
     def test_bose_associativity_exact(self, a, b, c):
@@ -130,6 +143,57 @@ class TestProducts:
         lhs = product(product(a, b, 20), c, 20)
         rhs = product(a, product(b, c, 20), 20)
         assert lhs.terms == rhs.terms
+
+
+class TestClosedFormAgainstWords:
+    """The closed-form product equals word-by-word reduction bit for bit at
+    dyadic hbar, where every coefficient is exact."""
+
+    HBAR = 0.5
+
+    def assert_all_pairs_match(self, statistics, modes, keys):
+        polys = [poly(statistics, modes, {key: 1.0}, self.HBAR) for key in keys]
+        for a in polys:
+            for b in polys:
+                assert product(a, b, 16).terms == word_reduction(a, b)
+
+    @pytest.mark.parametrize("modes", [1, 2])
+    def test_bose_term_pairs_exhaustive(self, modes):
+        # every a*^alpha a^beta with creation and annihilation degree <= 4
+        side = [d for d in itertools.product(range(5), repeat=modes)
+                if sum(d) <= 4]
+        self.assert_all_pairs_match(
+            "bose", modes, list(itertools.product(side, side)))
+
+    @pytest.mark.parametrize("modes", [1, 2, 3, 4])
+    def test_fermi_term_pairs_exhaustive(self, modes):
+        masks = range(1 << modes)
+        self.assert_all_pairs_match(
+            "fermi", modes, list(itertools.product(masks, masks)))
+
+    @given(a=bose_polys(hbar=HBAR), b=bose_polys(hbar=HBAR))
+    @settings(max_examples=60, deadline=None)
+    def test_bose_random(self, a, b):
+        assert product(a, b, 20).terms == word_reduction(a, b)
+
+    @given(a=fermi_polys(modes=5, hbar=HBAR), b=fermi_polys(modes=5, hbar=HBAR))
+    @settings(max_examples=60, deadline=None)
+    def test_fermi_random(self, a, b):
+        assert product(a, b, 20).terms == word_reduction(a, b)
+
+    @given(a=bose_polys(hbar=0.3), b=bose_polys(hbar=0.3))
+    @settings(max_examples=40, deadline=None)
+    def test_bose_random_non_dyadic_hbar(self, a, b):
+        # the word route adds equal contraction paths one by one where the
+        # closed form multiplies by their count; each coefficient is held
+        # to the size of its contributions before any cancellation
+        got = product(a, b, 20).terms
+        want = word_reduction(a, b)
+        sizes = word_reduction(*(
+            poly("bose", p.modes, {k: abs(c) for k, c in p.terms.items()}, 0.3)
+            for p in (a, b)))
+        for key, size in sizes.items():
+            assert abs(got.get(key, 0j) - want.get(key, 0j)) <= 1e-13 * size.real
 
 
 class TestInvolution:
