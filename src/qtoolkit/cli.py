@@ -8,14 +8,15 @@ byte-identical: all randomness flows through --seed (default 0).
 
 Exit codes: 0 success, 2 invalid input (including unknown flags or
 subcommands, with usage on stderr), 3 numerical failure (including any
-NaN that would otherwise reach the output).  Errors are mirrored as
-machine-readable JSON on stderr.
+NaN that would otherwise reach the output).  Every error, usage errors
+included, is mirrored as one line of machine-readable JSON on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -65,10 +66,13 @@ def emit(payload: dict, fmt: str, header=None, rows=None) -> bytes:
 
 def _floats(text: str) -> list[float]:
     try:
-        return [float(x) for x in text.split(",") if x != ""]
+        values = [float(x) for x in text.split(",") if x != ""]
     except ValueError as exc:
         raise ValidationError(f"expected comma-separated floats: {text!r}") \
             from exc
+    if not all(math.isfinite(x) for x in values):
+        raise ValidationError(f"expected finite floats: {text!r}")
+    return values
 
 
 def _ints(text: str) -> list[int]:
@@ -79,24 +83,45 @@ def _ints(text: str) -> list[int]:
             from exc
 
 
+BETA_POINTS_MAX = 100_000
+
+
 def _beta_range(text: str) -> np.ndarray:
-    """Either a single value or an inclusive start:stop:step range."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValidationError("beta range must look like start:stop:step")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0 or stop < start:
-            raise ValidationError("beta range needs step > 0 and stop >= start")
-        return np.arange(start, stop + 0.5 * step, step)
-    return np.array([float(text)])
+    """Either a single value or an inclusive start:stop:step range.
+
+    A range must have finite ends and step and at most BETA_POINTS_MAX
+    points; it is counted before any array is allocated.
+    """
+    parts = text.split(":")
+    if len(parts) not in (1, 3):
+        raise ValidationError("beta range must look like start:stop:step")
+    try:
+        values = [float(p) for p in parts]
+    except ValueError as exc:
+        raise ValidationError(f"expected a float or start:stop:step: {text!r}") \
+            from exc
+    if not all(math.isfinite(x) for x in values):
+        raise ValidationError(f"beta needs finite values: {text!r}")
+    if len(values) == 1:
+        return np.array(values)
+    start, stop, step = values
+    if step <= 0 or stop < start:
+        raise ValidationError("beta range needs step > 0 and stop >= start")
+    points = (stop - start) / step + 1  # inf if the quotient overflows
+    if points > BETA_POINTS_MAX:
+        raise ValidationError(
+            f"beta range has {points:.3g} points; at most {BETA_POINTS_MAX}")
+    return np.arange(start, stop + 0.5 * step, step)
 
 
 def _json_matrix(text: str) -> np.ndarray:
     try:
-        return matrix_from_json(json.loads(text))
+        m = matrix_from_json(json.loads(text))
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad inline JSON matrix: {exc}") from exc
+    if not np.all(np.isfinite(m)):
+        raise ValidationError("inline JSON matrix has non-finite entries")
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +172,8 @@ def _cmd_fock_poisson(args, cfg):
 def _cmd_weyl_check(args, cfg):
     from .weyl_clifford import poly, product
 
+    if args.modes < 1 or args.trials < 0 or args.terms < 0:
+        raise ValidationError("need --modes >= 1, --trials >= 0, --terms >= 0")
     rng = np.random.default_rng(np.random.Philox(cfg.seed))
     modes = args.modes
     rows = []
@@ -368,6 +395,16 @@ def _cmd_gns_construct(args, cfg):
 # wiring
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with its usage errors also mirrored as JSON on stderr;
+    subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        _print_error("validation", ValidationError(f"{self.prog}: {message}"))
+        raise SystemExit(2)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
@@ -377,7 +414,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol", type=float, default=None)
     common.add_argument("--threads", type=int, default=None)
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qtoolkit",
         description="finite-dimensional quantum algebra workbench")
     subs = parser.add_subparsers(dest="subcommand", required=True)
@@ -470,6 +507,9 @@ def run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        for name, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValidationError(f"--{name} must be finite, got {value!r}")
         cfg = RunConfig(subcommand=args.subcommand, action=args.action,
                         seed=args.seed, out=args.out, fmt=args.fmt,
                         tol=args.tol, threads=args.threads)

@@ -8,6 +8,10 @@ indices.  Basis order is colexicographic: mode 1 varies fastest, so the
 occupation of mode k at basis index i is (i // stride_k) % (c_k + 1) with
 stride_1 = 1 and stride_k = prod_{j<k}(c_j + 1).
 
+A word of ladder operators maps each basis column to a single row (an
+index shift times a diagonal weight); `_ladder_word` computes that pair
+in O(dim), and every ladder product below is built from it.
+
 Commutation relations carry an explicit hbar:
 
     [a_k, a^+_l] = hbar delta_kl   (bose, exact below the cutoff)
@@ -20,6 +24,7 @@ their value.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -141,6 +146,32 @@ def _check_mode(spec: FockSpec, k: int) -> int:
     return k - 1
 
 
+def _ladder_word(spec: FockSpec, word) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, weights): column c of the word's matrix holds weights[c] at
+    row rows[c] and zeros elsewhere.
+
+    `word` lists letters (is_creation, k), leftmost first, modes from 0.
+    A weight is 0 where a letter passes a cutoff or the Pauli exclusion.
+    The factors multiply left to right, the association of the chain
+    L_1 @ L_2 @ ... @ L_n, so the entries equal that chain's bit for bit.
+    """
+    occ = spec.occupations
+    rows = np.arange(spec.dim)
+    factors = []
+    for creation, k in reversed(word):
+        n = occ[rows, k]
+        ok = n < spec.cutoffs[k] if creation else n > 0
+        if spec.statistics == "bose":
+            factor = np.sqrt(spec.hbar * ((n + 1.0) if creation else n))
+        else:
+            factor = 1.0 - 2.0 * (occ[rows, :k].sum(axis=1) % 2)
+        factors.append(np.where(ok, factor, 0.0))
+        rows = np.where(ok, rows + (1 if creation else -1) * spec.strides[k],
+                        rows)
+    return rows, functools.reduce(np.multiply, factors[::-1],
+                                  np.ones(spec.dim))
+
+
 def creation_matrix(spec: FockSpec, k: int) -> np.ndarray:
     """Matrix of a^+_k in the occupation basis.
 
@@ -148,19 +179,9 @@ def creation_matrix(spec: FockSpec, k: int) -> np.ndarray:
     zero at the cutoff top; fermionic entries carry the Jordan-Wigner sign
     (-1)^(sum_{j<k} n_j).
     """
-    km = _check_mode(spec, k)
-    dim = spec.dim
-    occ = spec.occupations
-    stride = spec.strides[km]
-    a_dag = np.zeros((dim, dim), dtype=complex)
-    if spec.statistics == "bose":
-        src = np.nonzero(occ[:, km] < spec.cutoffs[km])[0]
-        vals = np.sqrt(spec.hbar * (occ[src, km] + 1.0))
-        a_dag[src + stride, src] = vals
-    else:
-        src = np.nonzero(occ[:, km] == 0)[0]
-        signs = 1.0 - 2.0 * (occ[src, :km].sum(axis=1) % 2)
-        a_dag[src + stride, src] = signs
+    rows, weights = _ladder_word(spec, ((True, _check_mode(spec, k)),))
+    a_dag = np.zeros((spec.dim, spec.dim), dtype=complex)
+    a_dag[rows, np.arange(spec.dim)] = weights
     return a_dag
 
 
@@ -175,22 +196,22 @@ def number_operator(spec: FockSpec) -> np.ndarray:
 
 
 def quadratic_hamiltonian(spec: FockSpec, eps: Sequence[float]) -> np.ndarray:
-    """H = sum_k eps_k a^+_k a_k / hbar, assembled from the ladder matrices.
+    """H = sum_k eps_k a^+_k a_k / hbar, assembled from the ladder words.
 
     The normal-ordered product a^+_k a_k is diagonal with entries
-    hbar * n_k, so H carries eigenvalue sum_k n_k eps_k on |n>.  The product
-    is evaluated by floating matrix multiplication; see
-    quadratic_hamiltonian_diagonal for the exact-arithmetic equivalent.
+    hbar * n_k, so H carries eigenvalue sum_k n_k eps_k on |n>.  Each
+    diagonal is the floating product sqrt(hbar n_k) * sqrt(hbar n_k) of
+    the word a^+_k a_k; see quadratic_hamiltonian_diagonal for the
+    exact-arithmetic equivalent.
     """
     eps = np.asarray(eps, dtype=float)
     if eps.shape != (spec.modes,):
         raise ValidationError("eps length must equal mode count")
-    dim = spec.dim
-    h = np.zeros((dim, dim), dtype=complex)
+    diag = np.zeros(spec.dim)
     for k in range(spec.modes):
-        a_dag = creation_matrix(spec, k + 1)
-        h += (eps[k] / spec.hbar) * (a_dag @ a_dag.conj().T)
-    return h
+        _, weights = _ladder_word(spec, ((True, k), (False, k)))
+        diag += (eps[k] / spec.hbar) * weights
+    return np.diag(diag).astype(complex)
 
 
 def quadratic_hamiltonian_diagonal(spec: FockSpec, eps: Sequence[float]) -> np.ndarray:
@@ -219,24 +240,22 @@ def ccr_defect(spec: FockSpec) -> CommutationDefect:
     `safe` restricts the commutator matrix to the subspace with every
     n_k <= c_k - 1, where the ladder identity is exact; `unrestricted` is the
     full-space defect, which localizes at the cutoff top with magnitude
-    hbar*(c+1) on the diagonal k = l.
+    hbar*(c+1) on the diagonal k = l.  Both words of a commutator move a
+    column alike, so it has one entry a column; on a safe column a_k a^+_l
+    vanishes only where the commutator does, so its row places the entry.
     """
     if spec.statistics != "bose":
         raise ValidationError("ccr_defect requires a bosonic spec")
-    safe_idx = spec.safe_indices(margin=1)
-    eye = np.eye(spec.dim)
-    a = [annihilation_matrix(spec, k + 1) for k in range(spec.modes)]
-    safe = 0.0
-    unrestricted = 0.0
+    is_safe = np.all(spec.occupations < np.array(spec.cutoffs), axis=1)
+    safe = unrestricted = 0.0
     for k in range(spec.modes):
         for l in range(spec.modes):
-            comm = a[k] @ a[l].conj().T - a[l].conj().T @ a[k]
-            if k == l:
-                comm = comm - spec.hbar * eye
+            rows, ak_al = _ladder_word(spec, ((False, k), (True, l)))
+            _, al_ak = _ladder_word(spec, ((True, l), (False, k)))
+            comm = ak_al - al_ak - (spec.hbar if k == l else 0.0)
             unrestricted = max(unrestricted, float(np.abs(comm).max()))
-            block = comm[np.ix_(safe_idx, safe_idx)]
-            if block.size:
-                safe = max(safe, float(np.abs(block).max()))
+            block = comm[is_safe & is_safe[rows]]
+            safe = max(safe, float(np.abs(block).max(initial=0.0)))
     return CommutationDefect(safe=safe, unrestricted=unrestricted)
 
 
@@ -244,17 +263,16 @@ def car_defect(spec: FockSpec) -> CommutationDefect:
     """Max-entry defect of {a_k,a^+_l} - delta_kl and {a_k,a_l}; exact 0."""
     if spec.statistics != "fermi":
         raise ValidationError("car_defect requires a fermionic spec")
-    eye = np.eye(spec.dim)
-    a = [annihilation_matrix(spec, k + 1) for k in range(spec.modes)]
     worst = 0.0
     for k in range(spec.modes):
         for l in range(spec.modes):
-            anti = a[k] @ a[l].conj().T + a[l].conj().T @ a[k]
-            if k == l:
-                anti = anti - eye
-            worst = max(worst, float(np.abs(anti).max()))
-            anti2 = a[k] @ a[l] + a[l] @ a[k]
-            worst = max(worst, float(np.abs(anti2).max()))
+            _, first = _ladder_word(spec, ((False, k), (True, l)))
+            _, second = _ladder_word(spec, ((True, l), (False, k)))
+            anti = first + second - (1.0 if k == l else 0.0)
+            _, first = _ladder_word(spec, ((False, k), (False, l)))
+            _, second = _ladder_word(spec, ((False, l), (False, k)))
+            worst = max(worst, float(np.abs(anti).max()),
+                        float(np.abs(first + second).max()))
     return CommutationDefect(safe=worst, unrestricted=worst)
 
 

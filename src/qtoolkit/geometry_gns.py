@@ -7,7 +7,9 @@ turning the algebra itself into a pre-inner-product space with
 algebra act by left multiplication.  On matrix units the Gram matrix of
 this form is kron(I, rho^T) (row-major vectorization), so the carrier
 dimension is d * rank(rho) and the null-space quotient reduces to an
-eigendecomposition with a scale-invariant threshold.
+eigendecomposition with a scale-invariant threshold.  With the carrier
+basis reshaped to blocks B_i = basis.reshape(d, d, r)[i], represent(E_ij)
+is B_i^H B_j rescaled by the Gram weights; no kron(a, I) is formed.
 
 The same finite-dimensional setting carries the moment map sending a unit
 vector x to the functional C -> <x, C x>, whose image consists of the
@@ -104,10 +106,13 @@ class GnsResult:
         d = self.dimension
         if a.shape != (d, d):
             raise ValidationError("element dimension mismatch")
-        left = np.kron(a, np.eye(d))
-        core = self.basis.conj().T @ left @ self.basis
+        return self._carrier_matrix(
+            (a @ self.basis.reshape(d, -1)).reshape(self.basis.shape))
+
+    def _carrier_matrix(self, image: np.ndarray) -> np.ndarray:
+        """Carrier matrix of a map on M_d from its image of the basis."""
         scale = np.sqrt(self.weights)
-        return (scale[:, None] * core) / scale[None, :]
+        return (scale[:, None] * (self.basis.conj().T @ image)) / scale[None, :]
 
     def expectation(self, a: np.ndarray) -> complex:
         return complex(np.vdot(self.theta, self.represent(a) @ self.theta))
@@ -123,14 +128,6 @@ class GnsResult:
         }
 
 
-def _matrix_units(d: int):
-    for i in range(d):
-        for j in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = 1.0
-            yield e
-
-
 def gns_construct(state: AlgebraState, max_dimension: int = 16,
                   rank_tol: float = 1e-10) -> GnsResult:
     """Cyclic representation of a state by null-space quotient.
@@ -139,11 +136,17 @@ def gns_construct(state: AlgebraState, max_dimension: int = 16,
     eigenvectors above rank_tol * (largest eigenvalue) span the carrier,
     and the left-multiplication action is verified to be a *-homomorphism
     on all matrix units before returning.
+
+    `reps` holds every represent(E_ij) as block (i, j) of one (dr x dr)
+    matrix.  As E_ij E_kl = delta_jk E_il, the products for all i, l at a
+    fixed (j, k) are one product of block column j with block row k.
     """
     d = state.dimension
     if d > max_dimension:
         raise ValidationError(
             f"dimension {d} exceeds the configured bound {max_dimension}")
+    if not 0 <= rank_tol < 1:  # the top weight must stay in the carrier
+        raise ValidationError(f"rank_tol {rank_tol!r} must lie in [0, 1)")
     gram = np.kron(np.eye(d), state.rho.T)
     vals, vecs = np.linalg.eigh(gram)
     top = float(vals.max())
@@ -154,25 +157,25 @@ def gns_construct(state: AlgebraState, max_dimension: int = 16,
     basis = vecs[:, kept]
     r = int(kept.sum())
     scale = np.sqrt(weights)
-
-    def represent(a):
-        core = basis.conj().T @ np.kron(a, np.eye(d)) @ basis
-        return (scale[:, None] * core) / scale[None, :]
-
     theta = scale * (basis.conj().T @ np.eye(d, dtype=complex).reshape(-1))
 
-    units = list(_matrix_units(d))
-    reps = [represent(e) for e in units]
+    blocks = basis.reshape(d, d, r).transpose(1, 0, 2).reshape(d, d * r)
+    s = np.tile(scale, d)
+    reps = (s[:, None] * (blocks.conj().T @ blocks)) / s[None, :]
+
     hom = 0.0
-    inv = 0.0
-    expect = 0.0
-    for a, ra in zip(units, reps):
-        expect = max(expect, abs(np.vdot(theta, ra @ theta)
-                                 - state.expectation(a)))
-        inv = max(inv, float(np.abs(represent(a.conj().T)
-                                    - ra.conj().T).max()))
-        for b, rb in zip(units, reps):
-            hom = max(hom, float(np.abs(represent(a @ b) - ra @ rb).max()))
+    for j in range(d):
+        column = np.ascontiguousarray(reps[:, j * r:(j + 1) * r])
+        for k in range(d):
+            prod = column @ reps[k * r:(k + 1) * r]
+            if j == k:
+                prod -= reps
+            hom = max(hom, float(np.abs(prod).max()))
+    inv = float(np.abs(reps - reps.conj().T).max())
+    # <theta, represent(E_ij) theta> against omega(E_ij) = rho[j, i]
+    moments = np.einsum("a,iajb,b->ij", theta.conj(),
+                        reps.reshape(d, r, d, r), theta)
+    expect = float(np.abs(moments - state.rho.T).max())
     if max(hom, inv) > 1e-8:
         raise NumericalError(
             f"representation defects {hom:.2e}/{inv:.2e} exceed 1e-8")
@@ -214,10 +217,10 @@ def induced_hamiltonian(state: AlgebraState, h: np.ndarray,
 
     gns = gns_construct(state)
     energy = float(state.expectation(h).real)
-    doubled = np.kron(h, np.eye(d)) - np.kron(np.eye(d), h.T)
-    core = gns.basis.conj().T @ doubled @ gns.basis
-    scale_vec = np.sqrt(gns.weights)
-    mat = (scale_vec[:, None] * core) / scale_vec[None, :]
+    carrier = gns.basis.reshape(d, d, -1)  # [B] -> [hB - Bh] on each column
+    image = (np.einsum("ik,kjr->ijr", h, carrier)
+             - np.einsum("ikr,kj->ijr", carrier, h))
+    mat = gns._carrier_matrix(image.reshape(gns.basis.shape))
     herm_gap = float(np.abs(mat - mat.conj().T).max())
     if herm_gap > 1e-8 * max(1.0, float(np.abs(mat).max())):
         raise NumericalError("induced generator failed to be hermitian")

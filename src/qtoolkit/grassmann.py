@@ -14,13 +14,14 @@ squaring to zero exactly.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 __all__ = [
     "GrassmannElement",
@@ -185,16 +186,54 @@ def compose_even(derivatives: Sequence[complex], omega: GrassmannElement
         raise ValidationError(
             f"need {need + 1} derivative values (orders 0..{need}), "
             f"got {len(derivatives)}")
-    a = omega.body()
-    nu = omega - scalar(omega.n, a)
-    out = scalar(omega.n, derivatives[0])
-    power = scalar(omega.n, 1.0)
-    for l in range(1, need + 1):
+    return _series_at_body(
+        omega, [derivatives[l] / math.factorial(l) for l in range(need + 1)])
+
+
+def _series_at_body(x: GrassmannElement, coefficients: Sequence[complex]
+                    ) -> GrassmannElement:
+    """sum_l coefficients[l] nu^l for the nilpotent part nu = x - body(x).
+
+    The sum stops at the first vanishing power of nu, at the latest
+    nu^(n+1) = 0.
+    """
+    nu = x - scalar(x.n, x.body())
+    out = scalar(x.n, coefficients[0])
+    power = scalar(x.n, 1.0)
+    for c in coefficients[1:]:
         power = multiply(power, nu)
         if power.is_zero():
             break
-        out = out + power.scale(derivatives[l] / math.factorial(l))
+        out = out + power.scale(c)
     return out
+
+
+def _power(x: GrassmannElement, exponent: int) -> GrassmannElement:
+    """x^N = sum_l C(N, l) a^(N-l) nu^l for the body a and nilpotent part nu.
+
+    At most n + 1 terms survive, and a^(N-n) is formed by repeated
+    squaring, so the cost grows with log N instead of N.
+    """
+    a = complex(x.body())
+    top = min(exponent, x.n)
+    p, base, k = 1.0 + 0j, a, exponent - top
+    while k:
+        if k & 1:
+            p *= base
+        k >>= 1
+        if k:
+            base *= base
+    coefficients = []
+    message = f"power {exponent} exceeds double range"
+    try:
+        for l in range(top, -1, -1):
+            coefficients.append(math.comb(exponent, l) * p if p else 0j)
+            p *= a
+    except OverflowError as exc:  # a binomial beyond float range
+        raise NumericalError(message) from exc
+    if not all(cmath.isfinite(c) for c in coefficients):
+        raise NumericalError(message)
+    return _series_at_body(x, coefficients[::-1])
 
 
 def exp_element(omega: GrassmannElement) -> GrassmannElement:
@@ -225,8 +264,8 @@ def _check_antisymmetric(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError("matrix must be square")
-    scale = max(float(np.abs(a).max()), 1e-300)
-    if float(np.abs(a + a.T).max()) > 1e-12 * scale:
+    scale = max(float(np.abs(a).max(initial=0.0)), 1e-300)
+    if float(np.abs(a + a.T).max(initial=0.0)) > 1e-12 * scale:
         raise ValidationError("matrix is not antisymmetric")
     return a
 
@@ -499,12 +538,11 @@ def parse_expression(text: str, n: int | None = None) -> GrassmannElement:
             digits = tok.take_while(str.isdigit)
             if not digits:
                 raise ValidationError("missing exponent after '^'")
-            power = scalar(size, 1.0)
-            for _ in range(int(digits)):
-                power = multiply(power, value)
-                if power.is_zero():
-                    break
-            value = power
+            try:
+                exponent = int(digits)
+            except ValueError as exc:  # beyond int()'s digit limit
+                raise ValidationError(f"exponent too long: {exc}") from exc
+            value = _power(value, exponent)
         return value
 
     def parse_atom() -> GrassmannElement:
@@ -525,7 +563,10 @@ def parse_expression(text: str, n: int | None = None) -> GrassmannElement:
             if tok.peek() == "i":
                 tok.pos += 1
                 imag = True
-            val = float(number)
+            try:
+                val = float(number)
+            except ValueError as exc:
+                raise ValidationError(f"bad number {number!r}") from exc
             return scalar(size, 1j * val if imag else val)
         if ch == "e" and tok.pos + 1 < len(tok.text) and tok.text[tok.pos + 1].isdigit():
             tok.pos += 1

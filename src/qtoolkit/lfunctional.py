@@ -35,9 +35,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .fock import DensityMatrix, FockSpec, annihilation_matrix, creation_matrix
+from .fock import (DensityMatrix, FockSpec, _ladder_word,
+                   annihilation_matrix, creation_matrix)
 from .serialize import matrix_from_json, matrix_to_json
-from .weyl_clifford import NormalOrderedPolynomial, involution
+from .weyl_clifford import NormalOrderedPolynomial, _key_to_word, involution
 
 __all__ = [
     "TaylorLFunctional",
@@ -142,20 +143,17 @@ class TaylorLFunctional:
 
 def _taylor_from_operator(op: np.ndarray, spec: FockSpec, degree: int
                           ) -> TaylorLFunctional:
-    ladders_up = [creation_matrix(spec, k + 1) for k in range(spec.modes)]
-    ladders_dn = [annihilation_matrix(spec, k + 1) for k in range(spec.modes)]
+    """Correlations Tr[(a^+)^beta a^gamma op] up to total degree `degree`.
 
-    def string(mats, exps):
-        out = np.eye(spec.dim, dtype=complex)
-        for m, e in zip(mats, exps):
-            for _ in range(e):
-                out = out @ m
-        return out
-
+    Column c of the ladder word (a^+)^beta a^gamma holds weights[c] at row
+    rows[c], so each trace is sum_c weights[c] op[c, rows[c]], O(dim).
+    """
+    cols = np.arange(spec.dim)
     corr = {}
-    for beta, gamma in _all_keys(spec.modes, degree):
-        mat = string(ladders_up, beta) @ string(ladders_dn, gamma)
-        corr[(beta, gamma)] = complex(np.trace(mat @ op))
+    for key in _all_keys(spec.modes, degree):
+        rows, weights = _ladder_word(spec, _key_to_word("bose", spec.modes,
+                                                        key))
+        corr[key] = complex(weights @ op[cols, rows])
     return TaylorLFunctional(modes=spec.modes, degree=degree, hbar=spec.hbar,
                              correlations=corr)
 
@@ -677,8 +675,8 @@ def hbar_sweep(hbars: Sequence[float] = (1e-1, 1e-2, 1e-3), t: float = 1.0,
     from .evolution import rk4_fixed
 
     hbars = tuple(float(h) for h in hbars)
-    if any(h <= 0 for h in hbars) or len(hbars) < 2:
-        raise ValidationError("need at least two positive hbar values")
+    if any(h <= 0 for h in hbars) or len(set(hbars)) < 2:
+        raise ValidationError("need at least two distinct positive hbar values")
     coords = np.arange(-extent, extent + spacing / 2, spacing)
     aq = coords[:, None]
     ap = coords[None, :]
@@ -766,13 +764,17 @@ def _fit_pole(taus: np.ndarray, samples: np.ndarray) -> tuple:
     return estimate, resolution
 
 
+GREEN_CUTOFF_MAX = 1000  # dense (c+1) x (c+1) ladder matrices; n up to ~28
+
+
 def two_point_green(n_profile: Sequence[float], eps_profile: Sequence[float],
                     taus: np.ndarray, mode: int = 1, hbar: float = 1.0,
                     resolution: float | None = None) -> GreenResult:
     """Two-point functions of a stationary thermal mode via the ladder oracle.
 
     The state is the geometric (thermal) density with occupation n on a
-    cutoff chosen so the neglected tail is below 1e-15; the time
+    cutoff chosen so the neglected tail is below 1e-15 (an occupation that
+    needs a cutoff above GREEN_CUTOFF_MAX is rejected); the time
     dependence comes from eigenphase sums of actual ladder matrices, not
     from a closed form.  The pole of g_less is then located from the
     discrete Fourier transform of the samples with parabolic refinement
@@ -801,7 +803,13 @@ def two_point_green(n_profile: Sequence[float], eps_profile: Sequence[float],
     n = n_profile[mode - 1]
     eps = eps_profile[mode - 1]
     w = n / (1.0 + n)
-    cutoff = 24 if w == 0 else max(24, int(np.ceil(np.log(1e-15) / np.log(w))))
+    if w == 0:
+        cutoff = 24
+    elif w < 1 and np.log(1e-15) / np.log(w) <= GREEN_CUTOFF_MAX:
+        cutoff = max(24, int(np.ceil(np.log(1e-15) / np.log(w))))
+    else:
+        raise ValidationError(
+            f"occupation {n!r} needs a cutoff above {GREEN_CUTOFF_MAX}")
     spec = FockSpec(statistics="bose", cutoffs=(cutoff,), hbar=hbar)
     probs = (1.0 - w) * w ** np.arange(cutoff + 1) if w > 0 else None
     if probs is None:

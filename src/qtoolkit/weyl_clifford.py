@@ -347,9 +347,12 @@ def wick_symbol(a: NormalOrderedPolynomial) -> WickSymbol:
 def represent(a: NormalOrderedPolynomial, spec: fock.FockSpec) -> np.ndarray:
     """Matrix of the polynomial on a Fock space.
 
-    The map is a *-homomorphism exactly on the fermionic space and on the
-    bosonic safe subspace.  Bosonic cutoffs must reach the polynomial's
-    per-mode degree: c_k >= alpha_k + beta_k for every term.
+    Each term's monomial is a ladder word, which maps every basis column to
+    one row with one weight (fock._ladder_word), so the term scatters its
+    coefficient times those weights into the matrix in O(dim).  The map is
+    a *-homomorphism exactly on the fermionic space and on the bosonic safe
+    subspace.  Bosonic cutoffs must reach the polynomial's per-mode degree:
+    c_k >= alpha_k + beta_k for every term.
     """
     if spec.statistics != a.statistics or spec.modes != a.modes:
         raise ValidationError("spec does not match polynomial statistics/modes")
@@ -365,16 +368,12 @@ def represent(a: NormalOrderedPolynomial, spec: fock.FockSpec) -> np.ndarray:
             raise ValidationError(
                 f"cutoffs too small for polynomial degree; need at least "
                 f"{needed} per mode (modes {bad} deficient)")
-    dim = spec.dim
-    a_dag = [fock.creation_matrix(spec, k + 1) for k in range(a.modes)]
-    a_ann = [m.conj().T for m in a_dag]
-    out = np.zeros((dim, dim), dtype=complex)
+    cols = np.arange(spec.dim)
+    out = np.zeros((spec.dim, spec.dim), dtype=complex)
     for key, coeff in a.terms.items():
-        m = np.eye(dim, dtype=complex)
-        word = _key_to_word(a.statistics, a.modes, key)
-        for is_c, k in word:
-            m = m @ (a_dag[k] if is_c else a_ann[k])
-        out += coeff * m
+        rows, weights = fock._ladder_word(
+            spec, _key_to_word(a.statistics, a.modes, key))
+        out[rows, cols] += coeff * weights
     return out
 
 

@@ -5,11 +5,20 @@ swap at a time (each swap of an annihilator past a creator of the same mode
 also emits the contraction); `pfaffian_expansion` is the recursive
 first-row expansion memoised over index subsets.  Both cost exponential
 time and are meant for small sizes only.
+
+The dense routes below build every Fock-space operator as a chain of
+dim x dim ladder-matrix products, and every GNS representative as
+basis^H kron(a, 1) basis; src replaces both by the ladder-word kernel and
+the block form of the carrier basis.
 """
 
 from functools import lru_cache
 from typing import Sequence
 
+import numpy as np
+
+from qtoolkit.fock import (CommutationDefect, FockSpec, annihilation_matrix,
+                           creation_matrix)
 from qtoolkit.weyl_clifford import NormalOrderedPolynomial, _key_to_word
 
 
@@ -121,3 +130,124 @@ def pfaffian_expansion(a) -> complex:
         return total
 
     return complex(pf(tuple(range(n))))
+
+
+def represent_chain(a: NormalOrderedPolynomial, spec: FockSpec) -> np.ndarray:
+    """Matrix of a polynomial as a sum of ladder-matrix chains."""
+    a_dag = [creation_matrix(spec, k + 1) for k in range(a.modes)]
+    a_ann = [m.conj().T for m in a_dag]
+    out = np.zeros((spec.dim, spec.dim), dtype=complex)
+    for key, coeff in a.terms.items():
+        m = np.eye(spec.dim, dtype=complex)
+        for is_c, k in _key_to_word(a.statistics, a.modes, key):
+            m = m @ (a_dag[k] if is_c else a_ann[k])
+        out += coeff * m
+    return out
+
+
+def quadratic_hamiltonian_chain(spec: FockSpec, eps) -> np.ndarray:
+    """sum_k eps_k a^+_k a_k / hbar by dense matrix multiplication."""
+    h = np.zeros((spec.dim, spec.dim), dtype=complex)
+    for k in range(spec.modes):
+        a_dag = creation_matrix(spec, k + 1)
+        h += (eps[k] / spec.hbar) * (a_dag @ a_dag.conj().T)
+    return h
+
+
+def ccr_defect_dense(spec: FockSpec) -> CommutationDefect:
+    """CCR defects from dense commutator matrices."""
+    safe_idx = spec.safe_indices(margin=1)
+    eye = np.eye(spec.dim)
+    a = [annihilation_matrix(spec, k + 1) for k in range(spec.modes)]
+    safe = 0.0
+    unrestricted = 0.0
+    for k in range(spec.modes):
+        for l in range(spec.modes):
+            comm = a[k] @ a[l].conj().T - a[l].conj().T @ a[k]
+            if k == l:
+                comm = comm - spec.hbar * eye
+            unrestricted = max(unrestricted, float(np.abs(comm).max()))
+            block = comm[np.ix_(safe_idx, safe_idx)]
+            if block.size:
+                safe = max(safe, float(np.abs(block).max()))
+    return CommutationDefect(safe=safe, unrestricted=unrestricted)
+
+
+def car_defect_dense(spec: FockSpec) -> CommutationDefect:
+    """CAR defects from dense anticommutator matrices."""
+    eye = np.eye(spec.dim)
+    a = [annihilation_matrix(spec, k + 1) for k in range(spec.modes)]
+    worst = 0.0
+    for k in range(spec.modes):
+        for l in range(spec.modes):
+            anti = a[k] @ a[l].conj().T + a[l].conj().T @ a[k]
+            if k == l:
+                anti = anti - eye
+            worst = max(worst, float(np.abs(anti).max()))
+            anti2 = a[k] @ a[l] + a[l] @ a[k]
+            worst = max(worst, float(np.abs(anti2).max()))
+    return CommutationDefect(safe=worst, unrestricted=worst)
+
+
+def correlations_chain(op: np.ndarray, spec: FockSpec, keys) -> dict:
+    """Tr[(a^+)^beta a^gamma op] for each (beta, gamma) in keys, from
+    dense ladder-matrix strings."""
+    ups = [creation_matrix(spec, k + 1) for k in range(spec.modes)]
+    downs = [annihilation_matrix(spec, k + 1) for k in range(spec.modes)]
+
+    def string(mats, exps):
+        out = np.eye(spec.dim, dtype=complex)
+        for m, e in zip(mats, exps):
+            for _ in range(e):
+                out = out @ m
+        return out
+
+    return {(beta, gamma): complex(np.trace(string(ups, beta)
+                                            @ string(downs, gamma) @ op))
+            for beta, gamma in keys}
+
+
+def gns_kron(state, rank_tol: float = 1e-10):
+    """Carrier data and defects of the cyclic representation, every
+    representative formed as basis^H kron(a, 1) basis.
+
+    Returns (weights, theta, represent, homomorphism, involution,
+    expectation) for the same carrier basis gns_construct keeps.
+    """
+    d = state.dimension
+    vals, vecs = np.linalg.eigh(np.kron(np.eye(d), state.rho.T))
+    kept = vals > rank_tol * float(vals.max())
+    weights = vals[kept]
+    basis = vecs[:, kept]
+    scale = np.sqrt(weights)
+
+    def represent(a):
+        core = basis.conj().T @ np.kron(a, np.eye(d)) @ basis
+        return (scale[:, None] * core) / scale[None, :]
+
+    theta = scale * (basis.conj().T @ np.eye(d, dtype=complex).reshape(-1))
+    units = []
+    for i in range(d):
+        for j in range(d):
+            e = np.zeros((d, d), dtype=complex)
+            e[i, j] = 1.0
+            units.append(e)
+    reps = [represent(e) for e in units]
+    hom = inv = expect = 0.0
+    for a, ra in zip(units, reps):
+        expect = max(expect, abs(np.vdot(theta, ra @ theta)
+                                 - state.expectation(a)))
+        inv = max(inv, float(np.abs(represent(a.conj().T)
+                                    - ra.conj().T).max()))
+        for b, rb in zip(units, reps):
+            hom = max(hom, float(np.abs(represent(a @ b) - ra @ rb).max()))
+    return weights, theta, represent, hom, inv, expect
+
+
+def induced_matrix_kron(gns, h: np.ndarray) -> np.ndarray:
+    """[B] -> [hB - Bh] on a GNS carrier, from kron(h, 1) - kron(1, h^T)."""
+    d = gns.dimension
+    doubled = np.kron(h, np.eye(d)) - np.kron(np.eye(d), h.T)
+    core = gns.basis.conj().T @ doubled @ gns.basis
+    scale = np.sqrt(gns.weights)
+    return (scale[:, None] * core) / scale[None, :]

@@ -4,13 +4,17 @@ Runs the entry point in-process through qtoolkit.cli.run so exit codes,
 stdout bytes, and stderr diagnostics can be asserted exactly.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qtoolkit
 from qtoolkit import cli
@@ -95,8 +99,16 @@ class TestExitCodes:
         (["statmech", "sweep", "--out", "{missing_dir}/x"], 2, "validation"),
         (["fock", "poisson", "--cutoffs", "900", "--f", "100"], 3,
          "numerical"),
+        (["statmech", "sweep", "--beta", "0:1e15:1"], 2, "validation"),
+        (["statmech", "sweep", "--beta", "1e-300:1e300:1e-300"], 2,
+         "validation"),
+        (["statmech", "sweep", "--beta", "0.1:nan:0.1"], 2, "validation"),
+        (["statmech", "sweep", "--beta", "0.1:x:0.1"], 2, "validation"),
+        (["grassmann", "eval", "(e1 + 2)^2000"], 3, "numerical"),
     ], ids=["green-dt-zero", "green-window-nan", "trotter-no-slices",
-            "trotter-one-slice-count", "out-missing-dir", "poisson-overflow"])
+            "trotter-one-slice-count", "out-missing-dir", "poisson-overflow",
+            "beta-range-too-long", "beta-range-overflows", "beta-range-nan",
+            "beta-range-not-a-number", "grassmann-power-overflow"])
     def test_bad_input_exits_with_json_not_traceback(self, argv, code, kind,
                                                      tmp_path, capsys):
         argv = [a.format(missing_dir=tmp_path / "missing") for a in argv]
@@ -373,3 +385,116 @@ class TestImport:
         assert as_module.returncode == as_script.returncode == 0
         assert as_module.stderr == b""  # no runpy RuntimeWarning
         assert as_module.stdout == as_script.stdout
+
+
+# --- argv fuzzing ----------------------------------------------------------
+# Flag values come from the flag grammar with small sizes: every value type
+# argparse accepts for the flag, plus out-of-range, non-finite and malformed
+# text, so each draw either runs quickly or fails validation.
+
+_FLOAT = st.sampled_from(["0", "-1", "0.5", "1", "2.5", "1e-3", "1e300",
+                          "nan", "inf", "-inf"])
+
+
+def _float_list(pool=_FLOAT):
+    return st.one_of(st.lists(pool, max_size=3).map(",".join),
+                     st.sampled_from(["x", ",", "1,,2", "1;2"]))
+
+
+def _int_list(low, high):
+    return st.one_of(
+        st.lists(st.integers(low, high).map(str), max_size=3).map(",".join),
+        st.sampled_from(["x", ",", "1.5"]))
+
+
+def _int(low, high):
+    return st.integers(low, high).map(str)
+
+
+_STATES = [matrix_arg(m) for m in (
+    [[1, 0], [0, 0]], [[0.7, 0], [0, 0.3]], [[0.5, 0.5], [0.5, 0.5]],
+    [[1]], [[0.5, 0.2], [0.1, 0.5]], [[0.7, 0], [0, 0.5]], [[2, 0], [0, -1]],
+    [[0.5, 0.1j, 0], [-0.1j, 0.3, 0], [0, 0, 0.2]], [[1, 0, 0]])] + [
+    "{not json", '{"rows": 2}', "[]", '{"rows":1,"cols":1,"data":[[1]]}']
+_HAMILTONIANS = [matrix_arg(m) for m in (
+    [[1, 0], [0, -1]], [[0, 1], [1, 0]], [[1, 0, 0], [0, 1, 0], [0, 0, 2.5]],
+    [[1, 1j], [0, 1]], [[np.nan, 0], [0, 1]])] + ["{bad"]
+_GRASSMANN_TOKENS = ["e1", "e2", "e3", "2", "0.5", "1i", " + ", " - ", "*",
+                     "(", ")", "^2", "^0", "^999999999", "cos(", "sin(",
+                     "exp(", " ", "x", "e0"]
+
+_FLAGS = {
+    ("fock", "spectrum"): {
+        "--stat": st.sampled_from(["bose", "fermi"]),
+        "--cutoffs": _int_list(-1, 4), "--eps": _float_list(),
+        "--hbar": _FLOAT},
+    ("fock", "poisson"): {
+        "--cutoffs": _int_list(-1, 30), "--f": _float_list(),
+        "--hbar": _FLOAT},
+    ("weyl", "check"): {
+        "--stat": st.sampled_from(["bose", "fermi"]), "--modes": _int(-1, 3),
+        "--trials": _int(-1, 3), "--terms": _int(-1, 3), "--hbar": _FLOAT},
+    ("grassmann", "eval"): {"--modes": _int(-1, 4)},
+    ("evolve", "trotter"): {
+        "--cutoff": _int(-1, 8), "--t": _FLOAT, "--n": _int_list(-1, 16),
+        "--hbar": _FLOAT},
+    ("decohere", "sweep"): {
+        "--alpha": _float_list(st.sampled_from(
+            ["0", "-1", "0.2", "0.5", "1", "nan", "inf"])),
+        "--lam": _FLOAT, "--trials": _int(-1, 32)},
+    ("lfunc", "green"): {
+        "--n": _FLOAT, "--eps": _FLOAT,
+        "--window": st.sampled_from(["0", "-1", "5", "20", "nan", "inf"]),
+        "--dt": st.sampled_from(["0", "-1", "0.05", "0.5", "nan", "inf"]),
+        "--hbar": _FLOAT},
+    ("lfunc", "sweep"): {
+        "--hbars": _float_list(), "--t": _FLOAT, "--steps": _int(-1, 8)},
+    ("statmech", "sweep"): {
+        "--eps": _float_list(), "--stat": st.sampled_from(["bose", "fermi"]),
+        "--beta": st.one_of(_FLOAT, st.sampled_from(
+            ["0.1:1:0.1", "1:0.1:0.1", "0.5:2:0", "0:1e15:1", "0.1:inf:1",
+             "1:2", "a:b:c"]))},
+    ("gns", "construct"): {
+        "--rho": st.sampled_from(_STATES),
+        "--h": st.sampled_from(_HAMILTONIANS)},
+}
+_COMMON = {"--seed": _int(-1, 3), "--format": st.sampled_from(["json", "csv"]),
+           "--tol": _FLOAT, "--threads": _int(-1, 2)}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = list(command)
+    if command == ("grassmann", "eval"):
+        # a leading space keeps an expression like "-e1" positional
+        argv.append(" " + "".join(draw(st.lists(
+            st.sampled_from(_GRASSMANN_TOKENS), max_size=8))))
+    flags = {**_FLAGS[command], **_COMMON}
+    if command == ("gns", "construct"):
+        argv += ["--rho", draw(flags.pop("--rho"))]
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), unique=True)):
+        argv += [flag, draw(flags[flag])]
+    return argv
+
+
+def _run_captured(argv):
+    stdout, err = io.TextIOWrapper(io.BytesIO()), io.StringIO()
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = cli.run(argv)
+    return code, stdout.buffer.getvalue(), err.getvalue()
+
+
+class TestArgvFuzz:
+    @given(argv=_argv())
+    @settings(max_examples=300, deadline=None)
+    def test_every_argv_exits_cleanly(self, argv):
+        code, out, err = _run_captured(argv)
+        assert code in (0, 2, 3), argv
+        if code:
+            assert out == b""
+            diagnostic = json.loads(err.splitlines()[-1])
+            assert diagnostic["error"] == ("validation" if code == 2
+                                           else "numerical")

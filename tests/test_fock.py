@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -20,6 +21,15 @@ from qtoolkit.fock import (
     quadratic_hamiltonian,
     quadratic_hamiltonian_diagonal,
 )
+from oracles import (car_defect_dense, ccr_defect_dense,
+                     quadratic_hamiltonian_chain)
+
+
+def _bose_specs():
+    for hbar in (0.5, 0.3):
+        for modes in (1, 2, 3):
+            for cutoffs in itertools.product(range(2, 6), repeat=modes):
+                yield FockSpec.bose(cutoffs, hbar=hbar)
 
 
 class TestBasisOrder:
@@ -113,6 +123,27 @@ class TestCommutationRelations:
     def test_car_property(self, modes):
         d = car_defect(FockSpec.fermi(modes))
         assert d.unrestricted == 0.0
+
+
+class TestLadderWordMatchesMatrixChains:
+    """The ladder-word kernel against the dense matrix-chain route: the
+    words multiply their factors in the chain's association, so every
+    entry and every defect is equal bit for bit."""
+
+    def test_bose_defects_and_hamiltonian(self):
+        for spec in _bose_specs():
+            assert ccr_defect(spec) == ccr_defect_dense(spec), spec
+            eps = np.linspace(0.3, 1.7, spec.modes)
+            assert np.array_equal(quadratic_hamiltonian(spec, eps),
+                                  quadratic_hamiltonian_chain(spec, eps)), spec
+
+    @pytest.mark.parametrize("modes", range(1, 7))
+    def test_fermi_defects_and_hamiltonian(self, modes):
+        spec = FockSpec.fermi(modes)
+        assert car_defect(spec) == car_defect_dense(spec)
+        eps = np.linspace(-0.7, 1.9, modes)
+        assert np.array_equal(quadratic_hamiltonian(spec, eps),
+                              quadratic_hamiltonian_chain(spec, eps))
 
 
 class TestNumberAndHamiltonian:

@@ -11,6 +11,8 @@ from qtoolkit.geometry_gns import (AlgebraState, GnsResult, InducedGenerator,
                                    gns_construct, induced_hamiltonian,
                                    moment_map)
 
+from oracles import gns_kron, induced_matrix_kron
+
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -98,6 +100,44 @@ class TestGnsConstruct:
         data = res.to_json()
         assert data["carrier_dim"] == res.carrier_dim
         assert len(data["gram_weights"]) == res.carrier_dim
+
+
+class TestBlockFormMatchesKronRoute:
+    """Representatives from blocks of the carrier basis against
+    basis^H kron(a, 1) basis, on Gibbs states of a random Hamiltonian:
+    faithful, rank-deficient and pure.  Entries of a represented matrix
+    reach sqrt(w_max / w_min) of the Gram weights, which sets the scale
+    of their rounding."""
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    @pytest.mark.parametrize("kind", ["faithful", "deficient", "pure"])
+    def test_defects_representatives_and_generator(self, d, kind):
+        rng = np.random.default_rng(10 * d + len(kind))
+        h = random_hermitian(rng, d)
+        energies, vecs = np.linalg.eigh(h)
+        w = np.exp(-(energies - energies[0]))
+        if kind == "deficient":
+            w[d // 2 + 1:] = 0.0
+        elif kind == "pure":
+            w[1:] = 0.0
+        rho = (vecs * (w / w.sum())) @ vecs.conj().T
+        state = AlgebraState(0.5 * (rho + rho.conj().T))
+
+        out = induced_hamiltonian(state, h)
+        res = out.gns
+        weights, theta, represent, hom, inv, expect = gns_kron(state)
+        assert np.array_equal(res.weights, weights)
+        assert np.array_equal(res.theta, theta)
+        tol = 1e-12 * float(np.sqrt(weights.max() / weights.min()))
+        assert abs(res.homomorphism_defect - hom) <= tol
+        assert abs(res.involution_defect - inv) <= tol
+        assert abs(res.expectation_defect - expect) <= tol
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        assert np.abs(res.represent(a) - represent(a)).max() \
+            <= tol * np.abs(a).max()
+        ref = induced_matrix_kron(res, h)
+        assert np.abs(out.matrix - 0.5 * (ref + ref.conj().T)).max() \
+            <= tol * max(1.0, float(np.abs(h).max()))
 
 
 class TestInducedHamiltonian:

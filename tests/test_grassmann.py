@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtoolkit.errors import ValidationError
+from qtoolkit.errors import NumericalError, ValidationError
 from qtoolkit.grassmann import (
     GrassmannElement,
     berezin_integral,
@@ -27,6 +27,8 @@ from qtoolkit.grassmann import (
     scalar,
     sin_element,
 )
+
+from qtoolkit.grassmann import _power
 
 from oracles import pfaffian_expansion
 
@@ -239,6 +241,11 @@ class TestGaussianIntegral:
         m = np.random.default_rng(59).normal(size=(7, 7))
         assert gaussian_integral(m - m.T) == 0
 
+    def test_empty_matrix_has_unit_pfaffian(self):
+        empty = np.zeros((0, 0))
+        assert pfaffian(empty) == 1
+        assert gaussian_integral_series(empty) == 1
+
     def test_rejects_nonantisymmetric(self):
         with pytest.raises(ValidationError):
             gaussian_integral(np.eye(2))
@@ -407,6 +414,33 @@ class TestExpressionLanguage:
         assert parse_expression("e1^1000000000", n=2).is_zero()
         assert parse_expression("(e1 + e2)^1000000000").is_zero()
         assert parse_expression("(e1 + e2)^0").terms == {0: 1.0 + 0j}
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_power_matches_repeated_multiplication(self, data):
+        n = 4
+        terms = data.draw(st.dictionaries(
+            st.integers(min_value=0, max_value=2 ** n - 1),
+            st.complex_numbers(max_magnitude=2.0, allow_nan=False,
+                               allow_infinity=False), max_size=6))
+        x = GrassmannElement(n, terms)
+        exponent = data.draw(st.integers(min_value=0, max_value=12))
+        want = scalar(n, 1.0)
+        for _ in range(exponent):
+            want = multiply(want, x)
+        got = _power(x, exponent)
+        scale = max(1.0, sum(abs(c) for c in x.terms.values())) ** exponent
+        for mask in set(got.terms) | set(want.terms):
+            gap = abs(got.terms.get(mask, 0j) - want.terms.get(mask, 0j))
+            assert gap <= 1e-12 * scale
+
+    def test_power_with_a_body_costs_log_n(self):
+        got = parse_expression("(e1 + 1)^1000000000")
+        assert got.terms == {0: 1.0 + 0j, 0b1: 1e9 + 0j}
+        got = parse_expression("(e1 e2 - 1)^999999999")
+        assert got.terms == {0: -1.0 + 0j, 0b11: 999999999.0 + 0j}
+        with pytest.raises(NumericalError):
+            parse_expression("(e1 + 2)^2000")
 
     def test_unbalanced_paren_rejected(self):
         with pytest.raises(ValidationError):

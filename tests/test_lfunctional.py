@@ -15,7 +15,11 @@ from qtoolkit.lfunctional import (BOperatorReport, GaussianLFunctional,
                                   fourier_asymptotics_demo, from_density,
                                   hbar_sweep, thermal_lfunctional,
                                   two_point_green)
+from qtoolkit.lfunctional import _reference_state, _taylor_from_operator
 from qtoolkit.weyl_clifford import poly
+
+from conftest import random_density
+from oracles import correlations_chain
 
 
 def normalized_coherent(spec, lam):
@@ -38,6 +42,17 @@ class TestClosedForms:
         closed = coherent_lfunctional([lam], degree=6)
         for key, v in closed.correlations.items():
             assert abs(full.value(*key) - v) <= 1e-12
+
+    @pytest.mark.parametrize("cutoffs,degree,hbar", [
+        ((8,), 8, 0.3), ((4, 4), 4, 0.5), ((6, 6), 6, 1.7), ((3, 3, 3), 3, 0.3)])
+    def test_from_density_matches_matrix_strings(self, rng, cutoffs, degree,
+                                                 hbar):
+        spec = FockSpec.bose(cutoffs, hbar=hbar)
+        rho = random_density(rng, spec.dim)
+        got = from_density(rho, spec, degree).correlations
+        want = correlations_chain(rho, spec, got)
+        scale = max(abs(v) for v in want.values())
+        assert max(abs(got[k] - v) for k, v in want.items()) <= 1e-12 * scale
 
     def test_coherent_evaluation_matches_exponential(self):
         lam = 0.4 + 0.1j
@@ -132,6 +147,18 @@ class TestDoubledOperators:
         assert report.trace_defect_b_tilde <= 1e-12
         assert report.trace_defect_b_tilde_plus <= 1e-12
         assert report.max_defect() <= 1e-12
+
+    def test_trace_functionals_match_matrix_strings(self):
+        # the functionals b_operators_check compares: K and K times ladders
+        spec = FockSpec.bose((6, 6), hbar=0.3)
+        k_mat = _reference_state(spec, margin=4)
+        a = annihilation_matrix(spec, 2)
+        for op in (k_mat, a @ k_mat, k_mat @ a.conj().T):
+            got = _taylor_from_operator(op, spec, 3).correlations
+            want = correlations_chain(op, spec, got)
+            scale = max(abs(v) for v in want.values())
+            assert max(abs(got[k] - v) for k, v in want.items()) \
+                <= 1e-12 * scale
 
     def test_check_validation(self):
         with pytest.raises(ValidationError):

@@ -25,7 +25,7 @@ from qtoolkit.weyl_clifford import (
     zero,
 )
 
-from oracles import word_reduction
+from oracles import represent_chain, word_reduction
 
 
 def bose_unit(m=1, hbar=1.0):
@@ -339,6 +339,35 @@ class TestRepresent:
             lhs = represent(product(a, b), spec)
             rhs = represent(a, spec) @ represent(b, spec)
             assert np.abs(lhs - rhs).max() <= 1e-12 * max(np.abs(rhs).max(), 1.0)
+
+    def test_bose_equals_matrix_chains_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        for hbar in (0.5, 0.3):
+            for modes in (1, 2, 3):
+                for cutoffs in itertools.product(range(2, 6), repeat=modes):
+                    spec = FockSpec.bose(cutoffs, hbar=hbar)
+                    terms = {}
+                    for _ in range(4):
+                        # at most cutoff letters of each mode per monomial
+                        alpha = [int(rng.integers(0, c + 1)) for c in cutoffs]
+                        beta = [int(rng.integers(0, c - a + 1))
+                                for a, c in zip(alpha, cutoffs)]
+                        terms[(tuple(alpha), tuple(beta))] = complex(
+                            *rng.normal(size=2))
+                    p = poly("bose", modes, terms, hbar)
+                    assert np.array_equal(represent(p, spec),
+                                          represent_chain(p, spec)), spec
+
+    @pytest.mark.parametrize("modes", range(1, 7))
+    def test_fermi_equals_matrix_chains_bit_for_bit(self, modes):
+        rng = np.random.default_rng(modes)
+        spec = FockSpec.fermi(modes)
+        for _ in range(10):
+            terms = {(int(rng.integers(0, 2 ** modes)),
+                      int(rng.integers(0, 2 ** modes))):
+                     complex(*rng.normal(size=2)) for _ in range(5)}
+            p = poly("fermi", modes, terms)
+            assert np.array_equal(represent(p, spec), represent_chain(p, spec))
 
     def test_involution_is_adjoint(self):
         spec = FockSpec.bose([6])
