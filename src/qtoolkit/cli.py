@@ -114,6 +114,20 @@ def _beta_range(text: str) -> np.ndarray:
     return np.arange(start, stop + 0.5 * step, step)
 
 
+GREEN_SAMPLES_MAX = 100_000
+DENSE_DIM_MAX = 2048
+
+
+def _dense_spec(spec):
+    """The Fock space of a command that builds dense dim x dim matrices,
+    rejected before any is built if dim exceeds DENSE_DIM_MAX."""
+    if spec.dim > DENSE_DIM_MAX:
+        raise ValidationError(
+            f"Fock dimension {spec.dim} is too large for dense matrices; "
+            f"at most {DENSE_DIM_MAX}")
+    return spec
+
+
 def _json_matrix(text: str) -> np.ndarray:
     try:
         m = matrix_from_json(json.loads(text))
@@ -132,8 +146,9 @@ def _cmd_fock_spectrum(args, cfg):
     from .fock import FockSpec, quadratic_hamiltonian, \
         quadratic_hamiltonian_diagonal
 
-    spec = FockSpec(statistics=args.stat, cutoffs=tuple(_ints(args.cutoffs)),
-                    hbar=args.hbar)
+    spec = _dense_spec(FockSpec(statistics=args.stat,
+                                cutoffs=tuple(_ints(args.cutoffs)),
+                                hbar=args.hbar))
     eps = _floats(args.eps)
     dense = np.linalg.eigvalsh(quadratic_hamiltonian(spec, eps))
     expected = np.sort(np.diag(quadratic_hamiltonian_diagonal(spec, eps))
@@ -154,8 +169,9 @@ def _cmd_fock_spectrum(args, cfg):
 def _cmd_fock_poisson(args, cfg):
     from .fock import FockSpec, poisson_eigen_defect
 
-    spec = FockSpec(statistics="bose", cutoffs=tuple(_ints(args.cutoffs)),
-                    hbar=args.hbar)
+    spec = _dense_spec(FockSpec(statistics="bose",
+                                cutoffs=tuple(_ints(args.cutoffs)),
+                                hbar=args.hbar))
     f = [complex(x) for x in _floats(args.f)]
     reports = [poisson_eigen_defect(spec, f, k)
                for k in range(1, spec.modes + 1)]
@@ -233,7 +249,8 @@ def _cmd_evolve_trotter(args, cfg):
     from .fock import FockSpec
     from .weyl_clifford import canonical_quadratures
 
-    spec = FockSpec(statistics="bose", cutoffs=(args.cutoff,), hbar=args.hbar)
+    spec = _dense_spec(FockSpec(statistics="bose", cutoffs=(args.cutoff,),
+                                hbar=args.hbar))
     q, p = canonical_quadratures(spec)
     factors = [-0.5j * (p @ p), -0.5j * (q @ q)]
     report = trotter_order(factors, args.t, _ints(args.n))
@@ -308,6 +325,11 @@ def _cmd_lfunc_green(args, cfg):
         raise ValidationError("need a positive occupation for a pole fit")
     if not (args.dt > 0 and np.isfinite(args.window)):
         raise ValidationError("need --dt > 0 and a finite --window")
+    samples = args.window / args.dt  # inf if the quotient overflows
+    if samples > GREEN_SAMPLES_MAX:
+        raise ValidationError(
+            f"--window / --dt gives {samples:.6g} samples; "
+            f"at most {GREEN_SAMPLES_MAX}")
     taus = np.arange(0.0, args.window, args.dt)
     res = two_point_green([args.n], [args.eps], taus, mode=1,
                           hbar=args.hbar, resolution=cfg.tol)

@@ -353,6 +353,13 @@ def rk4_fixed(f: Callable, y0: np.ndarray, t0: float, t1: float,
     return y
 
 
+# Steps per block of propagate_linear_ode.  A power of two, so every block
+# starts at a multiple of its own size and its product is a subtree of the
+# balanced tree over all steps: reducing the block products reproduces
+# that tree, partial last block included.
+_CHUNK = 1024
+
+
 def _tree_product(steps: np.ndarray) -> np.ndarray:
     """Ordered product steps[-1] @ ... @ steps[0] by pairwise reduction.
 
@@ -392,24 +399,31 @@ def propagate_linear_ode(a_of_s: Callable, dim: int, s0: float, s1: float,
     """Solve U' = A(s) U, U(s0) = 1, by fixed-step 4th-order slices.
 
     Each step is the classical 4-stage update written as a matrix acting on
-    U, assembled for all steps at once and combined by a balanced product
-    tree.  The step count doubles (Richardson halving of h) until two
-    consecutive resolutions agree to tol in max norm.
+    U, and the steps are combined by a balanced product tree.  The slices
+    are assembled in aligned blocks of _CHUNK steps, so live memory is
+    O(_CHUNK dim^2) plus one dim x dim product per block.  The step count
+    doubles (Richardson halving of h) until two consecutive resolutions
+    agree to tol in max norm.
     """
     eye = np.eye(dim, dtype=complex)
 
     def run(steps: int) -> np.ndarray:
         h = (s1 - s0) / steps
-        nodes = s0 + h * np.arange(2 * steps + 1) / 2.0
-        a = _sample_matrices(a_of_s, nodes, dim)
-        a0, am, a1 = a[0:-1:2], a[1::2], a[2::2]
+        blocks = []
+        for lo in range(0, steps, _CHUNK):
+            hi = min(lo + _CHUNK, steps)
+            nodes = s0 + h * np.arange(2 * lo, 2 * hi + 1) / 2.0
+            a = _sample_matrices(a_of_s, nodes, dim)
+            a0, am, a1 = a[0:-1:2], a[1::2], a[2::2]
+            with np.errstate(over="ignore", invalid="ignore"):
+                k1 = a0
+                k2 = np.matmul(am, eye + 0.5 * h * k1)
+                k3 = np.matmul(am, eye + 0.5 * h * k2)
+                k4 = np.matmul(a1, eye + h * k3)
+                slices = eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                blocks.append(_tree_product(slices))
         with np.errstate(over="ignore", invalid="ignore"):
-            k1 = a0
-            k2 = np.matmul(am, eye + 0.5 * h * k1)
-            k3 = np.matmul(am, eye + 0.5 * h * k2)
-            k4 = np.matmul(a1, eye + h * k3)
-            slices = eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            return _tree_product(slices)
+            return _tree_product(np.stack(blocks))
 
     steps = start_steps
     prev = run(steps)

@@ -4,7 +4,8 @@ Gibbs states are computed with a spectral shift (log Z is reported with the
 shift re-applied, so overflow in exp(-beta*H) is impossible).  Free boson and
 fermion gases come with closed forms plus genuinely independent trace routes:
 the fermionic pair (product over modes vs sum over all 2^m occupation masks)
-is evaluated in exact rational arithmetic so that both routes produce the
+is evaluated exactly, the product in rationals and the mask sum in integers
+over a common power-of-two denominator, so that both routes produce the
 same double bit-for-bit; the bosonic truncated trace is compared against the
 closed form within an analytic geometric tail bound.
 
@@ -155,17 +156,30 @@ class FermiDualRoute:
     occupations_trace: tuple[float, ...]
 
 
+def _dyadic(values: Sequence[float]) -> tuple[list[int], int]:
+    """Integer numerators of dyadic doubles over one denominator 2^d."""
+    ratios = [x.as_integer_ratio() for x in values]
+    d = max((den.bit_length() - 1 for _, den in ratios), default=0)
+    return [num << (d - den.bit_length() + 1) for num, den in ratios], d
+
+
 def fermi_gas_dual_route(eps: Sequence[float], beta: float) -> FermiDualRoute:
     """Fermionic Z, E, n_k by two independent algorithms, bit-exactly equal.
 
     Both routes start from the same dyadic Boltzmann factors
-    f_k = double(e^{-beta eps_k}) and then run in exact rational arithmetic:
+    f_k = double(e^{-beta eps_k}) and are exact until one final rounding
+    to double:
 
-    * product route: Z = prod_k (1 + f_k), n_k = f_k/(1+f_k), one rounding
-      to double at the end;
+    * product route: Z = prod_k (1 + f_k), n_k = f_k/(1+f_k) in rational
+      arithmetic;
     * trace route: the literal 2^m-term sum over occupation bitmasks of the
       diagonal of e^{-beta H} on the fermionic Fock space, with E and n_k as
-      weighted mask sums.
+      weighted mask sums.  With f_k = F_k / D and eps_k = E_k / 2^t over
+      common power-of-two denominators D = 2^d and 2^t, the weight
+      w(mask) D^m is an integer; it is built from w(mask without its
+      lowest bit) by one product and a shift of d bits, so the mask sums
+      run in Python integers and only the final quotients become
+      rationals.
 
     The two rationals coincide by the distributive law, so the doubles agree
     bit-for-bit; the routes still exercise different code paths and
@@ -175,7 +189,8 @@ def fermi_gas_dual_route(eps: Sequence[float], beta: float) -> FermiDualRoute:
     m = len(eps)
     if m > 16:
         raise ValidationError("trace route is exponential; m <= 16 required")
-    f = [Fraction(math.exp(-beta * e)) for e in eps]
+    f_double = [math.exp(-beta * e) for e in eps]
+    f = [Fraction(fk) for fk in f_double]
     eps_frac = [Fraction(e) for e in eps]
 
     z_prod = Fraction(1)
@@ -184,31 +199,42 @@ def fermi_gas_dual_route(eps: Sequence[float], beta: float) -> FermiDualRoute:
     occ_prod = [fk / (1 + fk) for fk in f]
     e_prod = sum((ef * nk for ef, nk in zip(eps_frac, occ_prod)), Fraction(0))
 
-    z_trace = Fraction(0)
-    e_weighted = Fraction(0)
-    occ_weighted = [Fraction(0)] * m
-    for mask in range(1 << m):
-        w = Fraction(1)
-        e_mask = Fraction(0)
-        for k in range(m):
-            if mask >> k & 1:
-                w *= f[k]
-                e_mask += eps_frac[k]
+    f_num, d = _dyadic(f_double)
+    e_num, t = _dyadic(eps)
+    # Masks run in counting order.  w_prefix[j] and e_prefix[j] hold the
+    # weight and energy numerators of the current mask's bits >= j; bits
+    # below its lowest set bit are clear, so those entries share its values.
+    # Given the bits above k, the masks holding bit k are one run of
+    # consecutive masks, so n_k sums stretches of the running Z: each opens
+    # when bit k is set and closes when bit k is carried out.
+    w_prefix = [1 << (d * m)] * (m + 1)
+    e_prefix = [0] * (m + 1)
+    opened = [0] * m
+    z_trace = w_prefix[0]
+    e_weighted = 0
+    occ_weighted = [0] * m
+    for mask in range(1, 1 << m):
+        low = (mask & -mask).bit_length() - 1
+        for k in range(low):
+            occ_weighted[k] += z_trace - opened[k]
+        opened[low] = z_trace
+        w = (w_prefix[low + 1] * f_num[low]) >> d
+        e_mask = e_prefix[low + 1] + e_num[low]
+        w_prefix[:low + 1] = [w] * (low + 1)
+        e_prefix[:low + 1] = [e_mask] * (low + 1)
         z_trace += w
         e_weighted += e_mask * w
-        for k in range(m):
-            if mask >> k & 1:
-                occ_weighted[k] += w
-    occ_trace = [x / z_trace for x in occ_weighted]
-    e_trace = e_weighted / z_trace
+    for k in range(m):  # the last mask holds every bit
+        occ_weighted[k] += z_trace - opened[k]
 
     return FermiDualRoute(
         z_product=float(z_prod),
-        z_trace=float(z_trace),
+        z_trace=float(Fraction(z_trace, 1 << (d * m))),
         energy_product=float(e_prod),
-        energy_trace=float(e_trace),
+        energy_trace=float(Fraction(e_weighted, z_trace << t)),
         occupations_product=tuple(float(x) for x in occ_prod),
-        occupations_trace=tuple(float(x) for x in occ_trace),
+        occupations_trace=tuple(float(Fraction(x, z_trace))
+                                for x in occ_weighted),
     )
 
 

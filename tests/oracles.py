@@ -10,13 +10,23 @@ The dense routes below build every Fock-space operator as a chain of
 dim x dim ladder-matrix products, and every GNS representative as
 basis^H kron(a, 1) basis; src replaces both by the ladder-word kernel and
 the block form of the carrier basis.
+
+`propagate_linear_ode_dense` samples every node and builds every RK4 slice
+of a resolution at once before the product tree; src builds them in
+aligned blocks.  `fermi_trace_fraction` sums the 2^m occupation masks in
+`Fraction` arithmetic; src sums integer numerators over one power-of-two
+denominator.
 """
 
+import math
+from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
+from qtoolkit.errors import NumericalError
+from qtoolkit.evolution import _sample_matrices, _tree_product
 from qtoolkit.fock import (CommutationDefect, FockSpec, annihilation_matrix,
                            creation_matrix)
 from qtoolkit.weyl_clifford import NormalOrderedPolynomial, _key_to_word
@@ -251,3 +261,63 @@ def induced_matrix_kron(gns, h: np.ndarray) -> np.ndarray:
     core = gns.basis.conj().T @ doubled @ gns.basis
     scale = np.sqrt(gns.weights)
     return (scale[:, None] * core) / scale[None, :]
+
+
+def propagate_linear_ode_dense(a_of_s, dim: int, s0: float, s1: float,
+                               tol: float = 1e-8, start_steps: int = 1024,
+                               max_steps: int = 1 << 20):
+    """propagate_linear_ode with all 2 steps + 1 samples of a resolution
+    held at once and one product tree over all its slices."""
+    eye = np.eye(dim, dtype=complex)
+
+    def run(steps: int) -> np.ndarray:
+        h = (s1 - s0) / steps
+        nodes = s0 + h * np.arange(2 * steps + 1) / 2.0
+        a = _sample_matrices(a_of_s, nodes, dim)
+        a0, am, a1 = a[0:-1:2], a[1::2], a[2::2]
+        with np.errstate(over="ignore", invalid="ignore"):
+            k1 = a0
+            k2 = np.matmul(am, eye + 0.5 * h * k1)
+            k3 = np.matmul(am, eye + 0.5 * h * k2)
+            k4 = np.matmul(a1, eye + h * k3)
+            slices = eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            return _tree_product(slices)
+
+    steps = start_steps
+    prev = run(steps)
+    while True:
+        steps *= 2
+        if steps > max_steps:
+            raise NumericalError(
+                f"step-size underflow: no convergence to {tol:.1e} "
+                f"within {max_steps} steps")
+        cur = run(steps)
+        if float(np.abs(cur - prev).max()) <= tol:
+            return cur, steps
+        prev = cur
+
+
+def fermi_trace_fraction(eps, beta: float):
+    """(Z, E, occupations) of the fermionic trace route as doubles, each
+    mask weight, energy and occupation sum a Fraction."""
+    eps = [float(e) for e in eps]
+    m = len(eps)
+    f = [Fraction(math.exp(-beta * e)) for e in eps]
+    eps_frac = [Fraction(e) for e in eps]
+    z_trace = Fraction(0)
+    e_weighted = Fraction(0)
+    occ_weighted = [Fraction(0)] * m
+    for mask in range(1 << m):
+        w = Fraction(1)
+        e_mask = Fraction(0)
+        for k in range(m):
+            if mask >> k & 1:
+                w *= f[k]
+                e_mask += eps_frac[k]
+        z_trace += w
+        e_weighted += e_mask * w
+        for k in range(m):
+            if mask >> k & 1:
+                occ_weighted[k] += w
+    return (float(z_trace), float(e_weighted / z_trace),
+            tuple(float(x / z_trace) for x in occ_weighted))

@@ -105,10 +105,15 @@ class TestExitCodes:
         (["statmech", "sweep", "--beta", "0.1:nan:0.1"], 2, "validation"),
         (["statmech", "sweep", "--beta", "0.1:x:0.1"], 2, "validation"),
         (["grassmann", "eval", "(e1 + 2)^2000"], 3, "numerical"),
+        (["lfunc", "green", "--window", "1e15", "--dt", "1"], 2,
+         "validation"),
+        (["lfunc", "green", "--window", "20", "--dt", "1e-300"], 2,
+         "validation"),
     ], ids=["green-dt-zero", "green-window-nan", "trotter-no-slices",
             "trotter-one-slice-count", "out-missing-dir", "poisson-overflow",
             "beta-range-too-long", "beta-range-overflows", "beta-range-nan",
-            "beta-range-not-a-number", "grassmann-power-overflow"])
+            "beta-range-not-a-number", "grassmann-power-overflow",
+            "green-too-many-samples", "green-samples-overflow"])
     def test_bad_input_exits_with_json_not_traceback(self, argv, code, kind,
                                                      tmp_path, capsys):
         argv = [a.format(missing_dir=tmp_path / "missing") for a in argv]
@@ -117,6 +122,25 @@ class TestExitCodes:
         assert out == ""
         assert "Traceback" not in err
         assert json.loads(err)["error"] == kind
+
+
+    @pytest.mark.parametrize("argv", [
+        ["fock", "spectrum", "--cutoffs", "1000,1000"],
+        ["fock", "spectrum", "--cutoffs", "2048"],
+        ["fock", "spectrum", "--stat", "fermi", "--cutoffs", ",".join(
+            ["1"] * 12), "--eps", ",".join(["1"] * 12)],
+        ["evolve", "trotter", "--cutoff", "2048"],
+        ["evolve", "trotter", "--cutoff", str(10 ** 30)],
+        ["fock", "poisson", "--cutoffs", "30,30,30", "--f", "0.5,0.5,0.5"],
+    ], ids=["bose-two-modes", "bose-one-past-cap", "fermi-12-modes",
+            "trotter-one-past-cap", "trotter-huge", "poisson-three-modes"])
+    def test_dense_dimension_cap_exits_two(self, argv, capsys):
+        code, out, err = invoke(argv, capsys)
+        assert code == 2
+        assert out == ""
+        message = json.loads(err)
+        assert message["error"] == "validation"
+        assert str(cli.DENSE_DIM_MAX) in message["message"]
 
 
 class TestDeterminism:
@@ -388,9 +412,11 @@ class TestImport:
 
 
 # --- argv fuzzing ----------------------------------------------------------
-# Flag values come from the flag grammar with small sizes: every value type
-# argparse accepts for the flag, plus out-of-range, non-finite and malformed
-# text, so each draw either runs quickly or fails validation.
+# Flag values come from the flag grammar: every value type argparse accepts
+# for the flag, plus out-of-range, non-finite and malformed text.  Sizes are
+# either small or past the CLI's caps (dense Fock dimension, `lfunc green`
+# samples, beta points), so each draw either runs quickly or fails
+# validation before it allocates.
 
 _FLOAT = st.sampled_from(["0", "-1", "0.5", "1", "2.5", "1e-3", "1e300",
                           "nan", "inf", "-inf"])
@@ -426,8 +452,10 @@ _GRASSMANN_TOKENS = ["e1", "e2", "e3", "2", "0.5", "1i", " + ", " - ", "*",
 _FLAGS = {
     ("fock", "spectrum"): {
         "--stat": st.sampled_from(["bose", "fermi"]),
-        "--cutoffs": _int_list(-1, 4), "--eps": _float_list(),
-        "--hbar": _FLOAT},
+        "--cutoffs": st.one_of(_int_list(-1, 4), st.sampled_from(
+            ["2048", "1000,1000", "46,46", "3,2048", str(10 ** 30),
+             ",".join(["1"] * 12)])),
+        "--eps": _float_list(), "--hbar": _FLOAT},
     ("fock", "poisson"): {
         "--cutoffs": _int_list(-1, 30), "--f": _float_list(),
         "--hbar": _FLOAT},
@@ -436,7 +464,9 @@ _FLAGS = {
         "--trials": _int(-1, 3), "--terms": _int(-1, 3), "--hbar": _FLOAT},
     ("grassmann", "eval"): {"--modes": _int(-1, 4)},
     ("evolve", "trotter"): {
-        "--cutoff": _int(-1, 8), "--t": _FLOAT, "--n": _int_list(-1, 16),
+        "--cutoff": st.one_of(_int(-1, 8), st.sampled_from(
+            ["2048", "1000000", str(10 ** 30)])),
+        "--t": _FLOAT, "--n": _int_list(-1, 16),
         "--hbar": _FLOAT},
     ("decohere", "sweep"): {
         "--alpha": _float_list(st.sampled_from(
@@ -444,8 +474,10 @@ _FLAGS = {
         "--lam": _FLOAT, "--trials": _int(-1, 32)},
     ("lfunc", "green"): {
         "--n": _FLOAT, "--eps": _FLOAT,
-        "--window": st.sampled_from(["0", "-1", "5", "20", "nan", "inf"]),
-        "--dt": st.sampled_from(["0", "-1", "0.05", "0.5", "nan", "inf"]),
+        "--window": st.sampled_from(["0", "-1", "5", "20", "1e15", "1e300",
+                                     "nan", "inf"]),
+        "--dt": st.sampled_from(["0", "-1", "0.05", "0.5", "1e-300", "nan",
+                                 "inf"]),
         "--hbar": _FLOAT},
     ("lfunc", "sweep"): {
         "--hbars": _float_list(), "--t": _FLOAT, "--steps": _int(-1, 8)},

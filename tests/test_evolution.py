@@ -1,11 +1,14 @@
 """Propagators, Trotter slicing, qp symbols, and adiabatic evolution."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from oracles import propagate_linear_ode_dense
+from qtoolkit import evolution
 from qtoolkit.errors import NumericalError, ValidationError
 from qtoolkit.evolution import (
     AdiabaticResult,
@@ -314,6 +317,92 @@ def test_propagate_linear_ode_scalar_only_family():
     u, _ = propagate_linear_ode(lambda s: float(s) * a, 2, 0.0, 1.0,
                                 tol=1e-10, start_steps=8)
     assert np.abs(u - scipy.linalg.expm(0.5 * a)).max() <= 1e-9
+
+
+def smooth_generator(rng, dim, scale):
+    """s -> -i (h0 + sin(3 s) h1 + s^2 h2), batched over s."""
+    h0, h1, h2 = (random_hermitian(rng, dim, scale) for _ in range(3))
+
+    def a_of_s(s):
+        s = np.asarray(s, dtype=float)[..., None, None]
+        return -1j * (h0 + np.sin(3.0 * s) * h1 + s * s * h2)
+    return a_of_s
+
+
+@pytest.mark.parametrize("start_steps", [1, 3, 1000, 1024])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_propagate_linear_ode_blocks_equal_dense_route(rng, dim, start_steps):
+    # converges past one block; start 1000 ends every resolution on a
+    # partial block, start 3 passes through 1536 = 1024 + 512 steps
+    a_of_s = smooth_generator(rng, dim, 12.0 / dim)
+    u, steps = propagate_linear_ode(a_of_s, dim, 0.0, 1.0, tol=1e-9,
+                                    start_steps=start_steps)
+    u_dense, steps_dense = propagate_linear_ode_dense(
+        a_of_s, dim, 0.0, 1.0, tol=1e-9, start_steps=start_steps)
+    assert steps == steps_dense > evolution._CHUNK
+    assert u.tobytes() == u_dense.tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 8, 64])
+def test_propagate_linear_ode_any_block_size_keeps_the_tree(rng, monkeypatch,
+                                                            chunk):
+    # tol = inf stops after one doubling, so each start gives the
+    # resolution 2 * start; step counts 2..138 against blocks of 1..64
+    a_of_s = smooth_generator(rng, 3, 1.0)
+    monkeypatch.setattr(evolution, "_CHUNK", chunk)
+    for start in range(1, 70):
+        u, steps = propagate_linear_ode(a_of_s, 3, -0.5, 1.0,
+                                        tol=math.inf, start_steps=start)
+        u_dense, steps_dense = propagate_linear_ode_dense(
+            a_of_s, 3, -0.5, 1.0, tol=math.inf, start_steps=start)
+        assert steps == steps_dense == 2 * start
+        assert u.tobytes() == u_dense.tobytes(), start
+
+
+def test_propagate_linear_ode_adiabatic_family_equals_dense_route():
+    # the gapped 4-level drive of the benchmark's numeric workload
+    levels = np.diag([0.0, 1.0, 2.1, 3.3]).astype(complex)
+    coupling = np.zeros((4, 4), dtype=complex)
+    for k, z in enumerate([0.13 * np.exp(0.4j), 0.17 * np.exp(2.2j),
+                           0.11 * np.exp(-1.3j)]):
+        coupling[k, k + 1], coupling[k + 1, k] = z, np.conj(z)
+    alpha = 0.1
+
+    def a_of_s(s):
+        g = np.sin(np.pi * np.asarray(s, dtype=float))
+        return (-1j / alpha) * (levels + g[..., None, None] * coupling)
+
+    u, steps = propagate_linear_ode(a_of_s, 4, 0.0, 1.0)
+    u_dense, steps_dense = propagate_linear_ode_dense(a_of_s, 4, 0.0, 1.0)
+    assert steps == steps_dense == 8192
+    assert u.tobytes() == u_dense.tobytes()
+
+
+def _traced_peak_of_failed_run(max_steps):
+    # a jump at the non-dyadic s = 1/3 keeps the error O(h), so no
+    # resolution up to max_steps meets tol
+    h = np.array([[1.0, 0.5], [0.5, -1.0]], dtype=complex)
+
+    def a_of_s(s):
+        sign = np.where(np.asarray(s, dtype=float) < 1.0 / 3.0, 1.0, -1.0)
+        return -1j * sign[..., None, None] * h
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(NumericalError, match="step-size underflow"):
+            propagate_linear_ode(a_of_s, 2, 0.0, 1.0, tol=1e-12,
+                                 max_steps=max_steps)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_propagate_linear_ode_memory_is_bounded():
+    small = _traced_peak_of_failed_run(1 << 13)
+    large = _traced_peak_of_failed_run(1 << 17)
+    # all 2^18 + 1 samples of the last resolution at once would be 64 MiB
+    assert large <= 4 << 20
+    assert large <= 1.1 * small
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import fermi_trace_fraction
 from qtoolkit.errors import ValidationError
 from qtoolkit.statmech import (
     bose_gas_truncated_trace,
@@ -158,6 +159,38 @@ def test_fermi_dual_route_bit_exact(m):
     ref = free_gas(eps, beta=0.73, statistics="fermi")
     assert res.z_product == pytest.approx(ref.z, rel=1e-13)
     assert res.energy_product == pytest.approx(ref.energy, rel=1e-13)
+
+
+def _fermi_energies(rng, m, kind):
+    if kind == "random":
+        return [float(x) for x in rng.uniform(0.1, 2.0, size=m)]
+    if kind == "signed":  # negative, zero and positive levels
+        return [float(x) for x in rng.choice([-1.7, -0.3, 0.0, 0.0, 0.9],
+                                             size=m) * rng.uniform(1, 2, m)]
+    # at beta = 1: f_k underflows to 0 (800), to subnormals (709.5..745),
+    # or stays normal
+    return [float(x) for x in rng.choice([800.0, 744.9, 720.25, 709.5, 0.6],
+                                         size=m)]
+
+
+@pytest.mark.parametrize("m", range(13))
+def test_fermi_dual_route_equals_fraction_trace(rng, m):
+    for kind in ("random", "signed", "underflow"):
+        eps = _fermi_energies(rng, m, kind)
+        beta = 1.0 if kind == "underflow" else float(rng.uniform(0.5, 1.5))
+        res = fermi_gas_dual_route(eps, beta)
+        z, energy, occupations = fermi_trace_fraction(eps, beta)
+        assert res.z_product == res.z_trace == z, kind
+        assert res.energy_product == res.energy_trace == energy, kind
+        assert res.occupations_product == res.occupations_trace \
+            == occupations, kind
+
+
+def test_fermi_dual_route_no_modes():
+    res = fermi_gas_dual_route([], beta=1.0)
+    assert res.z_product == res.z_trace == 1.0
+    assert res.energy_product == res.energy_trace == 0.0
+    assert res.occupations_product == res.occupations_trace == ()
 
 
 def test_fermi_dual_route_rejects_large_m():
