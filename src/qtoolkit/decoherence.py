@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .evolution import _simpson_eigen_traces
-from .fock import DensityMatrix
+from .fock import DensityMatrix, _hermitian
 
 __all__ = [
     "PerturbationEnsemble",
@@ -111,7 +111,7 @@ class PerturbationEnsemble:
             probes = [self.lam_samples[0], self.lam_samples[-1]]
         else:
             probes = [self.lam_low, self.lam_high]
-        h0 = np.asarray(self.family(probes[0], 0.0), dtype=complex)
+        h0 = _hermitian(self.family(probes[0], 0.0), "endpoint hamiltonian")
         scale = max(float(np.abs(h0).max()), 1.0)
         for lam in probes[1:]:
             other = np.asarray(self.family(lam, 0.0), dtype=complex)
@@ -119,9 +119,7 @@ class PerturbationEnsemble:
                 raise ValidationError(
                     "family(lam, 0) depends on lam; the path must switch "
                     "the perturbation off at the endpoints")
-        if float(np.abs(h0 - h0.conj().T).max()) > 1e-12 * scale:
-            raise ValidationError("endpoint hamiltonian must be hermitian")
-        return 0.5 * (h0 + h0.conj().T)
+        return h0
 
 
 def _level_integrals(ensemble: PerturbationEnsemble, lam: float,
@@ -406,10 +404,7 @@ def robust_projector(generator: np.ndarray, t_max: float = 1e9,
 
 def commutator_superoperator(h: np.ndarray, hbar: float = 1.0) -> np.ndarray:
     """Matrix of K -> -(i/hbar)[H, K] on row-major vectorized matrices."""
-    h = np.asarray(h, dtype=complex)
-    scale = max(float(np.abs(h).max()), 1e-300)
-    if float(np.abs(h - h.conj().T).max()) > 1e-12 * scale:
-        raise ValidationError("hamiltonian must be hermitian")
+    h = _hermitian(h, "hamiltonian")
     eye = np.eye(h.shape[0])
     return (-1j / hbar) * (np.kron(h, eye) - np.kron(eye, h.T))
 

@@ -31,6 +31,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import NumericalError, ValidationError
+from .fock import _hermitian, _require_finite
 
 __all__ = [
     "EvolutionProblem",
@@ -56,23 +57,6 @@ __all__ = [
 ]
 
 
-def _require_finite(m: np.ndarray, what: str) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    if not np.all(np.isfinite(m.view(float))):
-        raise ValidationError(f"{what} has non-finite entries")
-    return m
-
-
-def _require_hermitian(m: np.ndarray, what: str) -> np.ndarray:
-    m = _require_finite(m, what)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError(f"{what} must be square")
-    scale = max(float(np.abs(m).max()), 1e-300)
-    if float(np.abs(m - m.conj().T).max()) > 1e-12 * scale:
-        raise ValidationError(f"{what} must be hermitian within 1e-12")
-    return 0.5 * (m + m.conj().T)
-
-
 @dataclass(frozen=True)
 class EvolutionProblem:
     """A time-evolution job: generator, duration, and what is evolved.
@@ -90,12 +74,12 @@ class EvolutionProblem:
         if self.mode not in ("vector", "density"):
             raise ValidationError(f"unknown mode {self.mode!r}")
         object.__setattr__(self, "generator",
-                           _require_hermitian(self.generator, "generator"))
+                           _hermitian(self.generator, "generator"))
 
 
 def expm(h: np.ndarray, t: float, hbar: float = 1.0) -> np.ndarray:
     """U(t) = exp(-i t H / hbar) for hermitian H, by eigendecomposition."""
-    h = _require_hermitian(h, "generator")
+    h = _hermitian(h, "generator")
     vals, vecs = np.linalg.eigh(h)
     return (vecs * np.exp(-1j * t * vals / hbar)) @ vecs.conj().T
 
@@ -536,11 +520,7 @@ def adiabatic_evolve(family: Callable, path: Callable, alpha: float,
     """
     if not alpha > 0:
         raise ValidationError("alpha must be positive")
-    probe = np.asarray(family(path(0.0)), dtype=complex)
-    if probe.ndim != 2 or probe.shape[0] != probe.shape[1]:
-        raise ValidationError("family must produce square matrices")
-    dim = probe.shape[0]
-    _require_hermitian(probe, "family value")
+    dim = _hermitian(family(path(0.0)), "family value").shape[0]
 
     def h_of_s(s):
         return family(path(s))

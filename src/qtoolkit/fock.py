@@ -276,17 +276,38 @@ def car_defect(spec: FockSpec) -> CommutationDefect:
     return CommutationDefect(safe=worst, unrestricted=worst)
 
 
+def _require_finite(m, what: str) -> np.ndarray:
+    m = np.asarray(m, dtype=complex)
+    if not np.all(np.isfinite(m)):
+        raise ValidationError(f"{what} has non-finite entries")
+    return m
+
+
+def _hermitian(m, what: str) -> np.ndarray:
+    """The hermitian part 0.5 (m + m^H) of a matrix checked to be hermitian.
+
+    The one input rule for every hamiltonian, generator, occupation and
+    density matrix: m is a nonempty square matrix of finite entries with
+    max|m - m^H| <= 1e-12 max|m|.  The bound has no floor, so the verdict
+    does not depend on the scale of m, and the zero matrix passes.
+    """
+    m = _require_finite(m, what)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise ValidationError(f"{what} must be a nonempty square matrix")
+    if float(np.abs(m - m.conj().T).max()) > 1e-12 * float(np.abs(m).max()):
+        raise ValidationError(f"{what} must be hermitian within 1e-12")
+    return 0.5 * (m + m.conj().T)
+
+
 @dataclass(frozen=True)
 class FockVector:
     spec: FockSpec
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = _require_finite(self.amplitudes, "amplitudes")
         if amps.shape != (self.spec.dim,):
             raise ValidationError("amplitude length does not match dimension")
-        if not np.all(np.isfinite(amps.view(float))):
-            raise ValidationError("amplitudes must be finite")
         object.__setattr__(self, "amplitudes", amps)
 
     def norm(self) -> float:
@@ -301,18 +322,18 @@ class FockVector:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Validated density matrix: hermitian, positive, unit trace."""
+    """Validated density matrix: hermitian, positive, unit trace.
+
+    Hermiticity follows the package's one input rule (`_hermitian`); the
+    eigenvalues and trace of the hermitian part must then be >= -1e-12
+    and 1 within 1e-12.  `matrix` keeps the input as given, unsymmetrised.
+    """
 
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValidationError("density matrix must be square")
-        scale = max(float(np.linalg.norm(m)), 1e-300)
-        if float(np.linalg.norm(m - m.conj().T)) > 1e-12 * scale:
-            raise ValidationError("density matrix is not hermitian")
-        herm = 0.5 * (m + m.conj().T)
+        herm = _hermitian(m, "density matrix")
         eigs = np.linalg.eigvalsh(herm)
         if eigs.min() < -1e-12:
             raise ValidationError(f"density matrix has eigenvalue {eigs.min():.3e} < -1e-12")

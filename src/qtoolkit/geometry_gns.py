@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .fock import DensityMatrix
+from .fock import DensityMatrix, _hermitian
 from .serialize import matrix_from_json, matrix_to_json
 
 __all__ = [
@@ -204,13 +204,11 @@ class InducedGenerator:
 
 def induced_hamiltonian(state: AlgebraState, h: np.ndarray,
                         stationary_tol: float = 1e-10) -> InducedGenerator:
-    h = np.asarray(h, dtype=complex)
+    h = _hermitian(h, "Hamiltonian")
     d = state.dimension
     if h.shape != (d, d):
         raise ValidationError("Hamiltonian dimension mismatch")
     scale = max(float(np.abs(h).max()), 1e-300)
-    if float(np.abs(h - h.conj().T).max()) > 1e-12 * scale:
-        raise ValidationError("Hamiltonian must be hermitian")
     comm = h @ state.rho - state.rho @ h
     if float(np.abs(comm).max()) > stationary_tol * scale:
         raise ValidationError("state is not stationary under the Hamiltonian")
@@ -259,12 +257,9 @@ def moment_map(x: Sequence[complex],
     d = x.size
     values = []
     for c in generators:
-        c = np.asarray(c, dtype=complex)
+        c = _hermitian(c, "generator")
         if c.shape != (d, d):
             raise ValidationError("generator dimension mismatch")
-        if float(np.abs(c - c.conj().T).max()) > 1e-12 * max(
-                1.0, float(np.abs(c).max())):
-            raise ValidationError("generators must be hermitian")
         values.append(float(np.vdot(x, c @ x).real))
     density = np.outer(x, x.conj())
     bloch = None

@@ -35,7 +35,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .fock import (DensityMatrix, FockSpec, _ladder_word,
+from .fock import (DensityMatrix, FockSpec, _hermitian, _ladder_word,
                    annihilation_matrix, creation_matrix)
 from .serialize import matrix_from_json, matrix_to_json
 from .weyl_clifford import NormalOrderedPolynomial, _key_to_word, involution
@@ -197,13 +197,12 @@ class GaussianLFunctional:
         occ = np.asarray(self.occupation, dtype=complex)
         if occ.size == 0:
             occ = np.zeros((self.modes, self.modes), dtype=complex)
-        occ = occ.reshape(self.modes, self.modes)
         if len(ls) != self.modes or len(li) != self.modes:
             raise ValidationError("linear terms must have one entry per mode")
-        if float(np.abs(occ - occ.conj().T).max()) > 1e-12 * max(
-                1.0, float(np.abs(occ).max())):
-            raise ValidationError("occupation matrix must be hermitian")
-        if float(np.linalg.eigvalsh(occ).min()) < -1e-12:
+        herm = _hermitian(occ, "occupation matrix")
+        if herm.shape != (self.modes, self.modes):
+            raise ValidationError("occupation matrix must be modes x modes")
+        if float(np.linalg.eigvalsh(herm).min()) < -1e-12:
             raise ValidationError("occupation matrix must be >= 0")
         object.__setattr__(self, "linear_star", ls)
         object.__setattr__(self, "linear", li)

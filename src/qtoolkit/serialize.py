@@ -24,7 +24,6 @@ __all__ = [
     "complex_pair",
     "matrix_to_json",
     "matrix_from_json",
-    "vector_to_json",
     "check_finite",
     "format_float",
     "to_json_bytes",
@@ -53,10 +52,6 @@ def matrix_from_json(obj: dict[str, Any]) -> np.ndarray:
         raise ValueError("matrix data length does not match rows*cols")
     flat = np.array([complex(re, im) for re, im in data], dtype=complex)
     return flat.reshape(rows, cols)
-
-
-def vector_to_json(v: np.ndarray) -> list[list[float]]:
-    return [complex_pair(z) for z in np.asarray(v).reshape(-1)]
 
 
 def _scan(value: Any, path: str) -> None:

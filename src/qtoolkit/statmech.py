@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .fock import DensityMatrix
+from .fock import DensityMatrix, _hermitian
 
 __all__ = [
     "GibbsResult",
@@ -42,16 +42,6 @@ __all__ = [
     "truncated_correlations",
     "set_partitions",
 ]
-
-
-def _hermitian(h: np.ndarray, what: str) -> np.ndarray:
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValidationError(f"{what} must be square")
-    scale = max(float(np.abs(h).max()), 1e-300)
-    if float(np.abs(h - h.conj().T).max()) > 1e-12 * scale:
-        raise ValidationError(f"{what} must be hermitian")
-    return 0.5 * (h + h.conj().T)
 
 
 @dataclass(frozen=True)
@@ -85,15 +75,15 @@ def gibbs_state(h: np.ndarray, beta: float) -> GibbsResult:
 
 def entropy(k: DensityMatrix | np.ndarray) -> float:
     """Von Neumann entropy -Tr K log K; eigenvalues below 1e-15 contribute 0."""
-    m = k.matrix if isinstance(k, DensityMatrix) else _hermitian(k, "state")
-    vals = np.linalg.eigvalsh(m)
+    k = k if isinstance(k, DensityMatrix) else DensityMatrix(k)
+    vals = np.linalg.eigvalsh(k.matrix)
     vals = vals[vals > 1e-15]
     return float(-(vals * np.log(vals)).sum())
 
 
 def mean_energy(k: DensityMatrix | np.ndarray, h: np.ndarray) -> float:
-    m = k.matrix if isinstance(k, DensityMatrix) else np.asarray(k)
-    return float(np.trace(m @ h).real)
+    k = k if isinstance(k, DensityMatrix) else DensityMatrix(k)
+    return float(np.trace(k.matrix @ h).real)
 
 
 def free_energy(h: np.ndarray, beta: float) -> float:
@@ -339,14 +329,14 @@ def truncated_correlations(k: DensityMatrix | np.ndarray,
     so w^T(S) = w(S) - (all partitions with more than one block).
     Exposed for n <= 3 operators.
     """
-    m = k.matrix if isinstance(k, DensityMatrix) else np.asarray(k)
+    k = k if isinstance(k, DensityMatrix) else DensityMatrix(k)
     n = len(ops)
     if n > 3:
         raise ValidationError("truncated correlations are exposed up to n = 3")
     truncated: dict[tuple, complex] = {}
     for size in range(1, n + 1):
         for subset in itertools.combinations(range(n), size):
-            total = _moment(m, ops, subset)
+            total = _moment(k.matrix, ops, subset)
             for part in set_partitions(list(subset)):
                 if len(part) == 1:
                     continue

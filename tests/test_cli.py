@@ -109,11 +109,14 @@ class TestExitCodes:
          "validation"),
         (["lfunc", "green", "--window", "20", "--dt", "1e-300"], 2,
          "validation"),
+        (["gns", "construct", "--rho", '{{"rows":0,"cols":0,"data":[]}}'],
+         2, "validation"),
     ], ids=["green-dt-zero", "green-window-nan", "trotter-no-slices",
             "trotter-one-slice-count", "out-missing-dir", "poisson-overflow",
             "beta-range-too-long", "beta-range-overflows", "beta-range-nan",
             "beta-range-not-a-number", "grassmann-power-overflow",
-            "green-too-many-samples", "green-samples-overflow"])
+            "green-too-many-samples", "green-samples-overflow",
+            "gns-empty-rho"])
     def test_bad_input_exits_with_json_not_traceback(self, argv, code, kind,
                                                      tmp_path, capsys):
         argv = [a.format(missing_dir=tmp_path / "missing") for a in argv]
@@ -440,11 +443,13 @@ def _int(low, high):
 _STATES = [matrix_arg(m) for m in (
     [[1, 0], [0, 0]], [[0.7, 0], [0, 0.3]], [[0.5, 0.5], [0.5, 0.5]],
     [[1]], [[0.5, 0.2], [0.1, 0.5]], [[0.7, 0], [0, 0.5]], [[2, 0], [0, -1]],
-    [[0.5, 0.1j, 0], [-0.1j, 0.3, 0], [0, 0, 0.2]], [[1, 0, 0]])] + [
+    [[0.5, 0.1j, 0], [-0.1j, 0.3, 0], [0, 0, 0.2]], [[1, 0, 0]],
+    np.zeros((0, 0)))] + [
     "{not json", '{"rows": 2}', "[]", '{"rows":1,"cols":1,"data":[[1]]}']
 _HAMILTONIANS = [matrix_arg(m) for m in (
     [[1, 0], [0, -1]], [[0, 1], [1, 0]], [[1, 0, 0], [0, 1, 0], [0, 0, 2.5]],
-    [[1, 1j], [0, 1]], [[np.nan, 0], [0, 1]])] + ["{bad"]
+    [[1, 1j], [0, 1]], [[np.nan, 0], [0, 1]], np.zeros((0, 0)),
+    [[np.inf, 0], [0, 1]])] + ["{bad"]
 _GRASSMANN_TOKENS = ["e1", "e2", "e3", "2", "0.5", "1i", " + ", " - ", "*",
                      "(", ")", "^2", "^0", "^999999999", "cos(", "sin(",
                      "exp(", " ", "x", "e0"]

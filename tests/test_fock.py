@@ -9,6 +9,7 @@ from qtoolkit.errors import NumericalError, ValidationError
 from qtoolkit.fock import (
     DensityMatrix,
     FockSpec,
+    FockVector,
     annihilation_matrix,
     car_defect,
     ccr_defect,
@@ -278,6 +279,15 @@ class TestPoissonVectors:
         assert theta.norm() ** 2 == pytest.approx(
             math.exp(sum(abs(x) ** 2 for x in f)), rel=1e-12
         )
+
+
+class TestFockVectorValidation:
+    def test_accepts_strided_amplitudes_and_rejects_non_finite(self):
+        spec = FockSpec.bose([3])
+        amps = np.arange(8, dtype=complex)[::2]  # not contiguous
+        assert np.array_equal(FockVector(spec, amps).amplitudes, amps)
+        with pytest.raises(ValidationError, match="non-finite"):
+            FockVector(spec, [1.0, np.nan, 0.0, 0.0])
 
 
 class TestDensityMatrixValidation:

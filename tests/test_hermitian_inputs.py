@@ -1,0 +1,118 @@
+"""The one hermiticity rule shared by every matrix input.
+
+Each entry point that takes a hamiltonian, generator, occupation matrix or
+state validates it through `fock._hermitian`: a nonempty square matrix of
+finite entries with max|m - m^H| <= 1e-12 max|m|.  Because the bound has
+no floor, scaling the input by 1e-200 or 1e200 never changes the verdict.
+"""
+
+import numpy as np
+import pytest
+
+from qtoolkit.decoherence import (PerturbationEnsemble, average_density,
+                                  commutator_superoperator)
+from qtoolkit.errors import NumericalError, ValidationError
+from qtoolkit.evolution import EvolutionProblem, adiabatic_evolve, expm
+from qtoolkit.fock import DensityMatrix, FockSpec
+from qtoolkit.geometry_gns import AlgebraState, induced_hamiltonian, moment_map
+from qtoolkit.lfunctional import GaussianLFunctional, from_density
+from qtoolkit.statmech import (entropy, gibbs_state, kms_check, mean_energy,
+                               truncated_correlations)
+
+# A positive definite, unit-trace hermitian matrix: a valid state, and a
+# valid hamiltonian, generator or occupation matrix.
+_STATE = np.array([[2.0, 0.5 - 0.5j], [0.5 + 0.5j, 1.0]]) / 3.0
+
+
+def _ensemble(family):
+    return PerturbationEnsemble(family=family, path=lambda s: s * (1.0 - s),
+                                alpha=1.0, lam_low=0.0, lam_high=1.0,
+                                trials=16)
+
+
+def _drive(lam, g):
+    return np.diag([0.0, 1.0]) + lam * g * np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+# Entry points taking any hermitian matrix, each called with m in its
+# matrix slot.
+_OPERATOR_INPUTS = {
+    "gibbs_state": lambda m: gibbs_state(m, 1.0),
+    "kms_check": lambda m: kms_check(m, m, m, 1.0, 0.5),
+    "expm": lambda m: expm(m, 1.0),
+    "EvolutionProblem": lambda m: EvolutionProblem(m, 1.0),
+    "adiabatic_evolve": lambda m: adiabatic_evolve(
+        lambda g: m, lambda s: s, alpha=1.0, max_steps=2048),
+    "endpoint_hamiltonian": lambda m: _ensemble(
+        lambda lam, g: m).endpoint_hamiltonian(),
+    "commutator_superoperator": commutator_superoperator,
+    "induced_hamiltonian": lambda m: induced_hamiltonian(
+        AlgebraState(np.eye(2) / 2.0), m),
+    "moment_map": lambda m: moment_map([1.0, 0.0], [m]),
+    "GaussianLFunctional": lambda m: GaussianLFunctional(
+        modes=len(m), occupation=m),
+}
+# Entry points taking a state, which must also be positive with unit trace.
+_STATE_INPUTS = {
+    "DensityMatrix": DensityMatrix,
+    "AlgebraState": AlgebraState,
+    "entropy": entropy,
+    "mean_energy": lambda m: mean_energy(m, np.eye(2)),
+    "truncated_correlations": lambda m: truncated_correlations(m, []),
+    "from_density": lambda m: from_density(m, FockSpec.bose([1]), degree=1),
+    "average_density": lambda m: average_density(_ensemble(_drive), m,
+                                                 quad_nodes=4),
+}
+_ENTRY_POINTS = {**_OPERATOR_INPUTS, **_STATE_INPUTS}
+
+_ANTI = np.array([[0.0, 1.0], [-1.0, 0.0]])
+# name -> (matrix, the reason the rule gives); `anti-hermitian` carries an
+# anti-hermitian part of 1e-11 max|m|, ten times the tolerance.
+_REJECTED = {
+    "nan": ([[np.nan, 0.0], [0.0, 1.0]], "non-finite"),
+    "inf": ([[np.inf, 0.0], [0.0, 1.0]], "non-finite"),
+    "minus-inf": ([[1.0, 0.0], [0.0, -np.inf]], "non-finite"),
+    "empty": (np.zeros((0, 0)), "nonempty square"),
+    "non-square": (np.ones((2, 3)), "nonempty square"),
+    "anti-hermitian": (_STATE + 0.5e-11 * np.abs(_STATE).max() * _ANTI,
+                       "hermitian within 1e-12"),
+    "tiny-non-hermitian": ([[0.0, 1e-13], [0.0, 0.0]],
+                           "hermitian within 1e-12"),
+}
+_SCALES = (1.0, 1e-200, 1e200)
+
+
+def _accepts(call, m):
+    """Run call(m), which must pass validation; a NumericalError raised
+    after it (a zero gap, an overflow at 1e200) is not a verdict on m."""
+    try:
+        with np.errstate(all="ignore"):
+            call(m)
+    except NumericalError:
+        pass
+
+
+@pytest.mark.parametrize("case", sorted(_REJECTED))
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_rejects_at_every_scale(entry, case):
+    m, reason = _REJECTED[case]
+    for scale in _SCALES:
+        with np.errstate(invalid="ignore"):  # inf * 0j is nan: still rejected
+            scaled = scale * np.asarray(m, dtype=complex)
+        with pytest.raises(ValidationError, match=reason):
+            _ENTRY_POINTS[entry](scaled)
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_accepts_exactly_hermitian(entry):
+    m = np.asarray(_STATE, dtype=complex)
+    _accepts(_ENTRY_POINTS[entry], m)
+    # a transposed view is hermitian too, and not C-contiguous
+    _accepts(_ENTRY_POINTS[entry], m.T)
+
+
+@pytest.mark.parametrize("entry", sorted(_OPERATOR_INPUTS))
+def test_operator_verdict_is_scale_free(entry):
+    for m in (_STATE, np.zeros((2, 2))):
+        for scale in _SCALES:
+            _accepts(_OPERATOR_INPUTS[entry], scale * np.asarray(m, complex))
