@@ -87,14 +87,14 @@ def expm(h: np.ndarray, t: float, hbar: float = 1.0) -> np.ndarray:
 def evolve_density(k: np.ndarray, h: np.ndarray, t: float,
                    hbar: float = 1.0) -> np.ndarray:
     u = expm(h, t, hbar)
-    return u @ np.asarray(k, dtype=complex) @ u.conj().T
+    return u @ _require_finite(k, "state", u.shape) @ u.conj().T
 
 
 def heisenberg(a: np.ndarray, h: np.ndarray, t: float,
                hbar: float = 1.0) -> np.ndarray:
     """A(t) = U(t)^dag A U(t), so that <A(t)>_K = <A>_{K(t)}."""
     u = expm(h, t, hbar)
-    return u.conj().T @ np.asarray(a, dtype=complex) @ u
+    return u.conj().T @ _require_finite(a, "observable", u.shape) @ u
 
 
 # ---------------------------------------------------------------------------

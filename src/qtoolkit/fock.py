@@ -276,10 +276,12 @@ def car_defect(spec: FockSpec) -> CommutationDefect:
     return CommutationDefect(safe=worst, unrestricted=worst)
 
 
-def _require_finite(m, what: str) -> np.ndarray:
+def _require_finite(m, what: str, shape: tuple | None = None) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if not np.all(np.isfinite(m)):
         raise ValidationError(f"{what} has non-finite entries")
+    if shape is not None and m.shape != shape:
+        raise ValidationError(f"{what} dimension mismatch")
     return m
 
 

@@ -3,13 +3,12 @@
 A state on the d x d matrix algebra is a density matrix rho acting as the
 functional omega(A) = Tr(rho A).  The cyclic representation is built by
 turning the algebra itself into a pre-inner-product space with
-<A, B> = omega(B* A), factoring out the null space, and letting the
+<A, B> = omega(A* B), factoring out the null space, and letting the
 algebra act by left multiplication.  On matrix units the Gram matrix of
-this form is kron(I, rho^T) (row-major vectorization), so the carrier
-dimension is d * rank(rho) and the null-space quotient reduces to an
-eigendecomposition with a scale-invariant threshold.  With the carrier
-basis reshaped to blocks B_i = basis.reshape(d, d, r)[i], represent(E_ij)
-is B_i^H B_j rescaled by the Gram weights; no kron(a, I) is formed.
+this form is kron(I, rho^T) (row-major vectorization), so the quotient is
+C^d (x) range(rho^T), of dimension d * rank(rho), and one eigendecomposition
+of the d x d matrix rho^T gives it.  There left multiplication by A is
+kron(M, A), with M an r x r overlap that is the identity up to rounding.
 
 The same finite-dimensional setting carries the moment map sending a unit
 vector x to the functional C -> <x, C x>, whose image consists of the
@@ -27,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .fock import DensityMatrix, _hermitian
+from .fock import DensityMatrix, _hermitian, _require_finite
 from .serialize import matrix_from_json, matrix_to_json
 
 __all__ = [
@@ -80,39 +79,30 @@ class AlgebraState:
 class GnsResult:
     """Cyclic representation data for a state on M_d.
 
-    The carrier is spanned by the columns of `basis` (eigenvectors of the
-    Gram form with eigenvalue above threshold), rescaled so its inner
-    product is the standard one; `theta` is the class of the identity.
-    represent(A) acts by left multiplication pushed to these coordinates.
+    The carrier is C^d (x) range(rho^T), of dimension d * rank(rho), indexed
+    k-major by (k, i): eigenvector k of rho^T (the columns of `vectors`,
+    eigenvalue `weights[k * d]`) and row i of the algebra element.  In
+    these coordinates represent(A) = kron(overlap, A), where
+    overlap = S V^H V S^-1 with V = vectors and S = diag(sqrt(eigenvalue)),
+    the identity up to rounding; `theta` = (S V^H).reshape(-1) is the class
+    of the identity.
     """
 
     dimension: int
     carrier_dim: int
-    basis: np.ndarray
+    vectors: np.ndarray
+    overlap: np.ndarray
     weights: np.ndarray
     theta: np.ndarray
     homomorphism_defect: float
     involution_defect: float
     expectation_defect: float
 
-    def carrier_vector(self, a: np.ndarray) -> np.ndarray:
+    def represent(self, a: np.ndarray) -> np.ndarray:
         a = np.asarray(a, dtype=complex)
         if a.shape != (self.dimension, self.dimension):
             raise ValidationError("element dimension mismatch")
-        return np.sqrt(self.weights) * (self.basis.conj().T @ a.reshape(-1))
-
-    def represent(self, a: np.ndarray) -> np.ndarray:
-        a = np.asarray(a, dtype=complex)
-        d = self.dimension
-        if a.shape != (d, d):
-            raise ValidationError("element dimension mismatch")
-        return self._carrier_matrix(
-            (a @ self.basis.reshape(d, -1)).reshape(self.basis.shape))
-
-    def _carrier_matrix(self, image: np.ndarray) -> np.ndarray:
-        """Carrier matrix of a map on M_d from its image of the basis."""
-        scale = np.sqrt(self.weights)
-        return (scale[:, None] * (self.basis.conj().T @ image)) / scale[None, :]
+        return np.kron(self.overlap, a)
 
     def expectation(self, a: np.ndarray) -> complex:
         return complex(np.vdot(self.theta, self.represent(a) @ self.theta))
@@ -132,14 +122,18 @@ def gns_construct(state: AlgebraState, max_dimension: int = 16,
                   rank_tol: float = 1e-10) -> GnsResult:
     """Cyclic representation of a state by null-space quotient.
 
-    The Gram form on matrix units is assembled as kron(I, rho^T), its
-    eigenvectors above rank_tol * (largest eigenvalue) span the carrier,
-    and the left-multiplication action is verified to be a *-homomorphism
-    on all matrix units before returning.
+    With <A, B> = omega(A^H B) and row-major vectorization, the Gram form
+    on matrix units is kron(I, rho^T), so one eigendecomposition of rho^T
+    gives it: eigenvalues above rank_tol * (largest eigenvalue) are kept,
+    each repeated d times, and the carrier is C^d (x) range(rho^T)
+    (Bratteli & Robinson, Operator Algebras and Quantum Statistical
+    Mechanics 1, section 2.3.3).
 
-    `reps` holds every represent(E_ij) as block (i, j) of one (dr x dr)
-    matrix.  As E_ij E_kl = delta_jk E_il, the products for all i, l at a
-    fixed (j, k) are one product of block column j with block row k.
+    represent(E_ij) = kron(M, E_ij) with M the overlap, so
+    represent(E_ij) represent(E_kl) - represent(E_ij E_kl) is
+    delta_jk kron(M^2 - M, E_il) and represent(E_ij)^H - represent(E_ji)
+    is kron(M^H - M, E_ji): the largest homomorphism and involution defects
+    over all pairs of matrix units are max|M^2 - M| and max|M - M^H|.
     """
     d = state.dimension
     if d > max_dimension:
@@ -147,41 +141,28 @@ def gns_construct(state: AlgebraState, max_dimension: int = 16,
             f"dimension {d} exceeds the configured bound {max_dimension}")
     if not 0 <= rank_tol < 1:  # the top weight must stay in the carrier
         raise ValidationError(f"rank_tol {rank_tol!r} must lie in [0, 1)")
-    gram = np.kron(np.eye(d), state.rho.T)
-    vals, vecs = np.linalg.eigh(gram)
+    vals, vecs = np.linalg.eigh(state.rho.T)
     top = float(vals.max())
     if top <= 0:
         raise NumericalError("Gram form has no positive part")
     kept = vals > rank_tol * top
-    weights = vals[kept]
-    basis = vecs[:, kept]
-    r = int(kept.sum())
-    scale = np.sqrt(weights)
-    theta = scale * (basis.conj().T @ np.eye(d, dtype=complex).reshape(-1))
-
-    blocks = basis.reshape(d, d, r).transpose(1, 0, 2).reshape(d, d * r)
-    s = np.tile(scale, d)
-    reps = (s[:, None] * (blocks.conj().T @ blocks)) / s[None, :]
-
-    hom = 0.0
-    for j in range(d):
-        column = np.ascontiguousarray(reps[:, j * r:(j + 1) * r])
-        for k in range(d):
-            prod = column @ reps[k * r:(k + 1) * r]
-            if j == k:
-                prod -= reps
-            hom = max(hom, float(np.abs(prod).max()))
-    inv = float(np.abs(reps - reps.conj().T).max())
+    lam = vals[kept]
+    v = vecs[:, kept]
+    scale = np.sqrt(lam)
+    overlap = (scale[:, None] * (v.conj().T @ v)) / scale[None, :]
+    factor = scale[:, None] * v.conj().T  # theta as an (r x d) matrix
+    hom = float(np.abs(overlap @ overlap - overlap).max())
+    inv = float(np.abs(overlap - overlap.conj().T).max())
     # <theta, represent(E_ij) theta> against omega(E_ij) = rho[j, i]
-    moments = np.einsum("a,iajb,b->ij", theta.conj(),
-                        reps.reshape(d, r, d, r), theta)
+    moments = factor.conj().T @ overlap @ factor
     expect = float(np.abs(moments - state.rho.T).max())
     if max(hom, inv) > 1e-8:
         raise NumericalError(
             f"representation defects {hom:.2e}/{inv:.2e} exceed 1e-8")
     return GnsResult(
-        dimension=d, carrier_dim=r, basis=basis, weights=weights,
-        theta=theta, homomorphism_defect=hom, involution_defect=inv,
+        dimension=d, carrier_dim=d * lam.size, vectors=v, overlap=overlap,
+        weights=np.repeat(lam, d), theta=factor.reshape(-1),
+        homomorphism_defect=hom, involution_defect=inv,
         expectation_defect=expect)
 
 
@@ -215,10 +196,11 @@ def induced_hamiltonian(state: AlgebraState, h: np.ndarray,
 
     gns = gns_construct(state)
     energy = float(state.expectation(h).real)
-    carrier = gns.basis.reshape(d, d, -1)  # [B] -> [hB - Bh] on each column
-    image = (np.einsum("ik,kjr->ijr", h, carrier)
-             - np.einsum("ikr,kj->ijr", carrier, h))
-    mat = gns._carrier_matrix(image.reshape(gns.basis.shape))
+    # [B] -> [hB - Bh]: h acts on the C^d factor, -h^T on range(rho^T)
+    root = np.sqrt(gns.weights[::d])
+    v = gns.vectors
+    right = (root[:, None] * (v.conj().T @ h.T @ v)) / root[None, :]
+    mat = np.kron(gns.overlap, h) - np.kron(right, np.eye(d))
     herm_gap = float(np.abs(mat - mat.conj().T).max())
     if herm_gap > 1e-8 * max(1.0, float(np.abs(mat).max())):
         raise NumericalError("induced generator failed to be hermitian")
@@ -294,12 +276,7 @@ def equivalence_quotient(rho_a: np.ndarray, rho_b: np.ndarray,
     if not generators:
         raise ValidationError("need at least one generator")
     d = rho_a.shape[0]
-    gens = []
-    for c in generators:
-        c = np.asarray(c, dtype=complex)
-        if c.shape != (d, d):
-            raise ValidationError("generator dimension mismatch")
-        gens.append(c)
+    gens = [_require_finite(c, "generator", (d, d)) for c in generators]
 
     q = _span_projector(gens)
     worst = 0.0

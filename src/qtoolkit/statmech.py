@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .fock import DensityMatrix, _hermitian
+from .fock import DensityMatrix, _hermitian, _require_finite
 
 __all__ = [
     "GibbsResult",
@@ -83,6 +83,9 @@ def entropy(k: DensityMatrix | np.ndarray) -> float:
 
 def mean_energy(k: DensityMatrix | np.ndarray, h: np.ndarray) -> float:
     k = k if isinstance(k, DensityMatrix) else DensityMatrix(k)
+    h = _hermitian(h, "Hamiltonian")
+    if h.shape != k.matrix.shape:
+        raise ValidationError("Hamiltonian dimension mismatch")
     return float(np.trace(k.matrix @ h).real)
 
 
@@ -333,6 +336,7 @@ def truncated_correlations(k: DensityMatrix | np.ndarray,
     n = len(ops)
     if n > 3:
         raise ValidationError("truncated correlations are exposed up to n = 3")
+    ops = [_require_finite(op, "operator", k.matrix.shape) for op in ops]
     truncated: dict[tuple, complex] = {}
     for size in range(1, n + 1):
         for subset in itertools.combinations(range(n), size):

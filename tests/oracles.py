@@ -8,8 +8,9 @@ time and are meant for small sizes only.
 
 The dense routes below build every Fock-space operator as a chain of
 dim x dim ladder-matrix products, and every GNS representative as
-basis^H kron(a, 1) basis; src replaces both by the ladder-word kernel and
-the block form of the carrier basis.
+basis^H kron(a, 1) basis from the d^2 x d^2 Gram eigenbasis; src replaces
+both by the ladder-word kernel and the factored carrier
+C^d (x) range(rho^T).
 
 `propagate_linear_ode_dense` samples every node and builds every RK4 slice
 of a resolution at once before the product tree; src builds them in
@@ -218,11 +219,15 @@ def correlations_chain(op: np.ndarray, spec: FockSpec, keys) -> dict:
 
 
 def gns_kron(state, rank_tol: float = 1e-10):
-    """Carrier data and defects of the cyclic representation, every
-    representative formed as basis^H kron(a, 1) basis.
+    """Carrier data and defects of the cyclic representation from the
+    eigenbasis of the d^2 x d^2 Gram matrix kron(1, rho^T), every
+    representative formed as basis^H kron(a, 1) basis and every pair of
+    matrix units multiplied.
 
-    Returns (weights, theta, represent, homomorphism, involution,
-    expectation) for the same carrier basis gns_construct keeps.
+    Returns (basis, weights, theta, represent, homomorphism, involution,
+    expectation).  The basis is fixed only up to a unitary inside each
+    d-fold degenerate eigenspace, so compare it with gns_construct through
+    basis^H factored_basis(gns).
     """
     d = state.dimension
     vals, vecs = np.linalg.eigh(np.kron(np.eye(d), state.rho.T))
@@ -251,14 +256,24 @@ def gns_kron(state, rank_tol: float = 1e-10):
                                     - ra.conj().T).max()))
         for b, rb in zip(units, reps):
             hom = max(hom, float(np.abs(represent(a @ b) - ra @ rb).max()))
-    return weights, theta, represent, hom, inv, expect
+    return basis, weights, theta, represent, hom, inv, expect
+
+
+def factored_basis(gns) -> np.ndarray:
+    """The d^2 x (d r) carrier basis of gns_construct: column (k, i),
+    k-major, is vec(e_i v_k^T) for v_k = gns.vectors[:, k]."""
+    d = gns.dimension
+    return np.einsum("ai,jk->ajki", np.eye(d), gns.vectors).reshape(
+        d * d, -1)
 
 
 def induced_matrix_kron(gns, h: np.ndarray) -> np.ndarray:
-    """[B] -> [hB - Bh] on a GNS carrier, from kron(h, 1) - kron(1, h^T)."""
+    """[B] -> [hB - Bh] on the GNS carrier, from kron(h, 1) - kron(1, h^T)
+    compressed to factored_basis(gns)."""
     d = gns.dimension
+    basis = factored_basis(gns)
     doubled = np.kron(h, np.eye(d)) - np.kron(np.eye(d), h.T)
-    core = gns.basis.conj().T @ doubled @ gns.basis
+    core = basis.conj().T @ doubled @ basis
     scale = np.sqrt(gns.weights)
     return (scale[:, None] * core) / scale[None, :]
 

@@ -357,9 +357,14 @@ class TestGns:
         rho = matrix_arg([[1, 0], [0, 0]])
         code, out, _ = invoke(["gns", "construct", "--rho", rho], capsys)
         assert code == 0
-        payload = json.loads(out)
-        assert payload["gns"]["carrier_dim"] == 2
-        assert payload["gns"]["homomorphism_defect"] <= 1e-12
+        assert json.loads(out)["gns"] == {
+            "dimension": 2,
+            "carrier_dim": 2,
+            "gram_weights": [1.0, 1.0],
+            "homomorphism_defect": 0.0,
+            "involution_defect": 0.0,
+            "expectation_defect": 0.0,
+        }
 
     def test_induced_spectrum(self, capsys):
         rho = matrix_arg([[0, 0, 0], [0, 1, 0], [0, 0, 0]])

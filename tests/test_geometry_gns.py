@@ -11,7 +11,7 @@ from qtoolkit.geometry_gns import (AlgebraState, GnsResult, InducedGenerator,
                                    gns_construct, induced_hamiltonian,
                                    moment_map)
 
-from oracles import gns_kron, induced_matrix_kron
+from oracles import factored_basis, gns_kron, induced_matrix_kron
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -90,6 +90,34 @@ class TestGnsConstruct:
         assert res.expectation_defect <= 1e-12
         assert res.weights.min() > 1e-10 * res.weights.max()
 
+    @pytest.mark.parametrize("d", [12, 16])
+    @pytest.mark.parametrize("kind", ["faithful", "deficient"])
+    def test_sizes_up_to_the_default_bound(self, d, kind):
+        rng = np.random.default_rng(d + len(kind))
+        h = random_hermitian(rng, d)
+        energies, vecs = np.linalg.eigh(h)
+        w = rng.uniform(0.5, 1.5, size=d)
+        if kind == "deficient":
+            w[rng.permutation(d)[:d // 3]] = 0.0
+        rho = (vecs * (w / w.sum())) @ vecs.conj().T
+        state = AlgebraState(0.5 * (rho + rho.conj().T))
+
+        out = induced_hamiltonian(state, h)
+        res = out.gns
+        kept = w > 0
+        assert res.carrier_dim == d * int(kept.sum())
+        assert max(res.homomorphism_defect, res.involution_defect,
+                   res.expectation_defect) <= 1e-12
+        for _ in range(20):
+            a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            assert abs(res.expectation(a) - state.expectation(a)) <= 1e-12
+        # on C^d (x) range(rho^T) the generator is h (x) 1 - 1 (x) h^T
+        expected = np.sort(np.subtract.outer(energies,
+                                             energies[kept]).ravel())
+        assert np.abs(out.spectrum - expected).max() \
+            <= 1e-12 * max(1.0, float(np.abs(energies).max()))
+        assert out.theta_defect <= 1e-12 * max(1.0, float(np.abs(h).max()))
+
     def test_dimension_bound(self, rng):
         state = AlgebraState(random_density(rng, 3))
         with pytest.raises(ValidationError):
@@ -103,13 +131,16 @@ class TestGnsConstruct:
 
 
 class TestBlockFormMatchesKronRoute:
-    """Representatives from blocks of the carrier basis against
-    basis^H kron(a, 1) basis, on Gibbs states of a random Hamiltonian:
-    faithful, rank-deficient and pure.  Entries of a represented matrix
-    reach sqrt(w_max / w_min) of the Gram weights, which sets the scale
-    of their rounding."""
+    """The factored carrier C^d (x) range(rho^T) against the eigenbasis of
+    the d^2 x d^2 Gram matrix with basis^H kron(a, 1) basis, on Gibbs
+    states of a random Hamiltonian: faithful, rank-deficient and pure.
+    Each kept weight is d-fold degenerate, so the two bases agree only up
+    to the unitary U = B_kron^H B_factored, and carrier vectors and
+    matrices are compared after rotating by it.  Entries of a represented
+    matrix reach sqrt(w_max / w_min) of the Gram weights, which sets the
+    scale of their rounding."""
 
-    @pytest.mark.parametrize("d", range(1, 7))
+    @pytest.mark.parametrize("d", range(1, 9))
     @pytest.mark.parametrize("kind", ["faithful", "deficient", "pure"])
     def test_defects_representatives_and_generator(self, d, kind):
         rng = np.random.default_rng(10 * d + len(kind))
@@ -125,15 +156,18 @@ class TestBlockFormMatchesKronRoute:
 
         out = induced_hamiltonian(state, h)
         res = out.gns
-        weights, theta, represent, hom, inv, expect = gns_kron(state)
-        assert np.array_equal(res.weights, weights)
-        assert np.array_equal(res.theta, theta)
+        basis, weights, theta, represent, hom, inv, expect = gns_kron(state)
+        assert np.abs(res.weights - weights).max() <= 1e-14 * weights.max()
         tol = 1e-12 * float(np.sqrt(weights.max() / weights.min()))
+        u = basis.conj().T @ factored_basis(res)
+        assert np.abs(u.conj().T @ u - np.eye(res.carrier_dim)).max() \
+            <= 1e-12
+        assert np.abs(u @ res.theta - theta).max() <= tol
         assert abs(res.homomorphism_defect - hom) <= tol
         assert abs(res.involution_defect - inv) <= tol
         assert abs(res.expectation_defect - expect) <= tol
         a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        assert np.abs(res.represent(a) - represent(a)).max() \
+        assert np.abs(u @ res.represent(a) @ u.conj().T - represent(a)).max() \
             <= tol * np.abs(a).max()
         ref = induced_matrix_kron(res, h)
         assert np.abs(out.matrix - 0.5 * (ref + ref.conj().T)).max() \

@@ -4,6 +4,8 @@ Each entry point that takes a hamiltonian, generator, occupation matrix or
 state validates it through `fock._hermitian`: a nonempty square matrix of
 finite entries with max|m - m^H| <= 1e-12 max|m|.  Because the bound has
 no floor, scaling the input by 1e-200 or 1e200 never changes the verdict.
+An operator passed next to a state or generator must be finite and of its
+dimension.
 """
 
 import numpy as np
@@ -12,9 +14,11 @@ import pytest
 from qtoolkit.decoherence import (PerturbationEnsemble, average_density,
                                   commutator_superoperator)
 from qtoolkit.errors import NumericalError, ValidationError
-from qtoolkit.evolution import EvolutionProblem, adiabatic_evolve, expm
+from qtoolkit.evolution import (EvolutionProblem, adiabatic_evolve,
+                                evolve_density, expm, heisenberg)
 from qtoolkit.fock import DensityMatrix, FockSpec
-from qtoolkit.geometry_gns import AlgebraState, induced_hamiltonian, moment_map
+from qtoolkit.geometry_gns import (AlgebraState, equivalence_quotient,
+                                   induced_hamiltonian, moment_map)
 from qtoolkit.lfunctional import GaussianLFunctional, from_density
 from qtoolkit.statmech import (entropy, gibbs_state, kms_check, mean_energy,
                                truncated_correlations)
@@ -116,3 +120,26 @@ def test_operator_verdict_is_scale_free(entry):
     for m in (_STATE, np.zeros((2, 2))):
         for scale in _SCALES:
             _accepts(_OPERATOR_INPUTS[entry], scale * np.asarray(m, complex))
+
+
+_NAN = [[np.nan, 0.0], [0.0, 1.0]]
+# An operator next to a 2x2 state or generator, non-finite or 3x3.
+_BAD_OPERANDS = {
+    "mean_energy-nan": lambda: mean_energy(_STATE, _NAN),
+    "mean_energy-3x3": lambda: mean_energy(_STATE, np.eye(3)),
+    "truncated_correlations-nan": lambda: truncated_correlations(
+        _STATE, [_NAN]),
+    "truncated_correlations-3x3": lambda: truncated_correlations(
+        _STATE, [np.eye(3)]),
+    "evolve_density-3x3": lambda: evolve_density(np.eye(3) / 3.0, _STATE,
+                                                 1.0),
+    "heisenberg-3x3": lambda: heisenberg(np.eye(3), _STATE, 1.0),
+    "equivalence_quotient-nan": lambda: equivalence_quotient(
+        _STATE, _STATE, [_NAN]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_OPERANDS))
+def test_rejects_bad_operands(case):
+    with pytest.raises(ValidationError):
+        _BAD_OPERANDS[case]()
