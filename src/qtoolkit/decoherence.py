@@ -236,6 +236,24 @@ class BornReport:
             raise NumericalError("Born probabilities do not sum to 1")
 
 
+def _phase_sums(phases: np.ndarray) -> np.ndarray:
+    """Sums over trials of exp(-i (phases[m] - phases[n])) for each (m, n).
+
+    phases has shape (levels, trials).  Only the strict upper triangle is
+    exponentiated: the (n, m) term of a trial is the exact complex
+    conjugate of its (m, n) term and each diagonal term is 1, so the lower
+    triangle is the conjugate of the upper one and the diagonal is the
+    trial count.
+    """
+    levels, trials = phases.shape
+    upper = np.triu_indices(levels, 1)
+    sums = np.diag(np.full(levels, trials, dtype=complex))
+    sums[upper] = np.exp(-1j * (phases[upper[0]] - phases[upper[1]])).sum(
+        axis=1)
+    sums[upper[::-1]] = sums[upper].conj()
+    return sums
+
+
 def _mc_average(table: _PhaseTable, ensemble: PerturbationEnsemble,
                 threads: int) -> tuple[np.ndarray, np.ndarray]:
     """Chunked Monte Carlo mean of exp(-i beta_mn) with standard errors.
@@ -260,9 +278,7 @@ def _mc_average(table: _PhaseTable, ensemble: PerturbationEnsemble,
         else:
             lam = gen.uniform(ensemble.lam_low, ensemble.lam_high,
                               size=sizes[c])
-        phases = table(lam)
-        factors = np.exp(-1j * (phases[:, None, :] - phases[None, :, :]))
-        return factors.sum(axis=2)
+        return _phase_sums(table(lam))
 
     if threads == 1:
         partials = [work(c) for c in range(n_chunks)]

@@ -1,9 +1,10 @@
 """Time evolution engines.
 
 Exact propagators for hermitian generators, Trotter time-slicing with a
-measured convergence order, adiabatic propagation with a per-level phase
-ledger, and a discrete qp-symbol calculus on periodic (q, p) grids whose
-star product reproduces operator multiplication exactly at the grid level.
+measured convergence order, adiabatic propagation by unitary Magnus steps
+with a per-level phase ledger, and a discrete qp-symbol calculus on
+periodic (q, p) grids whose star product reproduces operator
+multiplication exactly at the grid level.
 
 Grid conventions.  A SymbolGrid holds n points q_j = (j - n/2) dq and
 p_l = (l - n/2) dp with dp dq = 2 pi hbar / n.  With the phase matrix
@@ -101,6 +102,40 @@ def heisenberg(a: np.ndarray, h: np.ndarray, t: float,
 # Trotter slicing
 
 
+def _trotter_factors(factors: Sequence[np.ndarray], t: float,
+                     n_values: Sequence[int]) -> list[np.ndarray]:
+    """The factors as finite complex matrices of one square shape, after
+    checking that t is finite and every slice count is >= 1."""
+    if not np.isfinite(t):
+        raise ValidationError("time t must be finite")
+    if any(not n >= 1 for n in n_values):
+        raise ValidationError("slice count must be >= 1")
+    mats = [_require_finite(f, "factor") for f in factors]
+    if not mats:
+        raise ValidationError("need at least one factor")
+    dim = mats[0].shape[0] if mats[0].ndim == 2 else -1
+    for m in mats:
+        if m.shape != (dim, dim):
+            raise ValidationError("factors must share one square dimension")
+    return mats
+
+
+def _slice_exponentials(mats: Sequence[np.ndarray], t: float, n: int
+                        ) -> list[np.ndarray]:
+    """e^{(t/N) H_j} for each factor, by scipy's expm."""
+    import scipy.linalg  # deferred: importing it costs ~0.3 s at start-up
+
+    return [scipy.linalg.expm((t / n) * m) for m in mats]
+
+
+def _slice_product(exps: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """(prod_j exps[j])^N, the factors multiplied left to right."""
+    step = np.eye(exps[0].shape[0], dtype=complex)
+    for e in exps:
+        step = step @ e
+    return np.linalg.matrix_power(step, n)
+
+
 def trotter_slices(factors: Sequence[np.ndarray], t: float, n: int
                    ) -> np.ndarray:
     """I_N(t) = (prod_j e^{(t/N) H_j})^N for general square factors.
@@ -108,21 +143,8 @@ def trotter_slices(factors: Sequence[np.ndarray], t: float, n: int
     Factors are applied left to right inside each slice; the limit
     N -> infinity is e^{t sum_j H_j} and the error is O(1/N).
     """
-    if n < 1:
-        raise ValidationError("slice count must be >= 1")
-    mats = [_require_finite(f, "factor") for f in factors]
-    if not mats:
-        raise ValidationError("need at least one factor")
-    dim = mats[0].shape[0]
-    for m in mats:
-        if m.shape != (dim, dim):
-            raise ValidationError("factors must share one square dimension")
-    import scipy.linalg  # deferred: importing it costs ~0.3 s at start-up
-
-    step = np.eye(dim, dtype=complex)
-    for m in mats:
-        step = step @ scipy.linalg.expm((t / n) * m)
-    return np.linalg.matrix_power(step, n)
+    mats = _trotter_factors(factors, t, [n])
+    return _slice_product(_slice_exponentials(mats, t, n), n)
 
 
 @dataclass(frozen=True)
@@ -136,19 +158,23 @@ def trotter_order(factors: Sequence[np.ndarray], t: float,
     """Frobenius error of I_N against e^{t sum H_j} with a fitted order.
 
     The order is the negated slope of log error versus log N; for a
-    nontrivial splitting it sits near 1.
+    nontrivial splitting it sits near 1.  Every exponential (scipy) is
+    formed before any product (numpy): numpy and scipy each bring their
+    own BLAS thread pool, and alternating between them per slice count
+    leaves one pool spinning while the other multiplies.
     """
     if len({int(n) for n in n_values}) < 2:
         raise ValidationError("need at least two distinct slice counts to "
                               "fit an order")
+    mats = _trotter_factors(factors, t, n_values)
     import scipy.linalg
 
-    total = sum(np.asarray(f, dtype=complex) for f in factors)
+    total = sum(mats)
     exact = scipy.linalg.expm(t * total)
+    exps = [_slice_exponentials(mats, t, n) for n in n_values]
     errors = {}
-    for n in n_values:
-        approx = trotter_slices(factors, t, n)
-        errors[int(n)] = float(np.linalg.norm(approx - exact))
+    for n, e in zip(n_values, exps):
+        errors[int(n)] = float(np.linalg.norm(_slice_product(e, n) - exact))
     ns = np.asarray(sorted(errors), dtype=float)
     es = np.asarray([errors[int(n)] for n in ns])
     if np.any(es <= 0):
@@ -337,10 +363,10 @@ def rk4_fixed(f: Callable, y0: np.ndarray, t0: float, t1: float,
     return y
 
 
-# Steps per block of propagate_linear_ode.  A power of two, so every block
-# starts at a multiple of its own size and its product is a subtree of the
-# balanced tree over all steps: reducing the block products reproduces
-# that tree, partial last block included.
+# Steps per block of the stepped propagators.  A power of two, so every
+# block starts at a multiple of its own size and its product is a subtree
+# of the balanced tree over all steps: reducing the block products
+# reproduces that tree, partial last block included.
 _CHUNK = 1024
 
 
@@ -377,6 +403,39 @@ def _sample_matrices(fn: Callable, xs: np.ndarray, dim: int) -> np.ndarray:
     return np.stack([np.asarray(fn(x), dtype=complex) for x in xs])
 
 
+def _blocked_product(steps: int, make_steps: Callable) -> np.ndarray:
+    """Ordered product of `steps` step matrices, built in aligned blocks.
+
+    make_steps(lo, hi) returns the stack of steps lo..hi-1; blocks of
+    _CHUNK steps are built and reduced one at a time, so live memory is
+    O(_CHUNK dim^2) plus one dim x dim product per block.
+    """
+    blocks = []
+    for lo in range(0, steps, _CHUNK):
+        block = make_steps(lo, min(lo + _CHUNK, steps))
+        with np.errstate(over="ignore", invalid="ignore"):
+            blocks.append(_tree_product(block))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _tree_product(np.stack(blocks))
+
+
+def _refine(run: Callable, steps: int, tol: float, max_steps: int
+            ) -> tuple[np.ndarray, int]:
+    """Double the step count until run(steps) agrees with the previous
+    resolution to tol in max norm; NumericalError past max_steps."""
+    prev = run(steps)
+    while True:
+        steps *= 2
+        if steps > max_steps:
+            raise NumericalError(
+                f"step-size underflow: no convergence to {tol:.1e} "
+                f"within {max_steps} steps")
+        cur = run(steps)
+        if float(np.abs(cur - prev).max()) <= tol:
+            return cur, steps
+        prev = cur
+
+
 def propagate_linear_ode(a_of_s: Callable, dim: int, s0: float, s1: float,
                          tol: float = 1e-8, start_steps: int = 1024,
                          max_steps: int = 1 << 20) -> tuple[np.ndarray, int]:
@@ -393,9 +452,8 @@ def propagate_linear_ode(a_of_s: Callable, dim: int, s0: float, s1: float,
 
     def run(steps: int) -> np.ndarray:
         h = (s1 - s0) / steps
-        blocks = []
-        for lo in range(0, steps, _CHUNK):
-            hi = min(lo + _CHUNK, steps)
+
+        def slices(lo: int, hi: int) -> np.ndarray:
             nodes = s0 + h * np.arange(2 * lo, 2 * hi + 1) / 2.0
             a = _sample_matrices(a_of_s, nodes, dim)
             a0, am, a1 = a[0:-1:2], a[1::2], a[2::2]
@@ -404,23 +462,54 @@ def propagate_linear_ode(a_of_s: Callable, dim: int, s0: float, s1: float,
                 k2 = np.matmul(am, eye + 0.5 * h * k1)
                 k3 = np.matmul(am, eye + 0.5 * h * k2)
                 k4 = np.matmul(a1, eye + h * k3)
-                slices = eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                blocks.append(_tree_product(slices))
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _tree_product(np.stack(blocks))
+                return eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    steps = start_steps
-    prev = run(steps)
-    while True:
-        steps *= 2
-        if steps > max_steps:
-            raise NumericalError(
-                f"step-size underflow: no convergence to {tol:.1e} "
-                f"within {max_steps} steps")
-        cur = run(steps)
-        if float(np.abs(cur - prev).max()) <= tol:
-            return cur, steps
-        prev = cur
+        return _blocked_product(steps, slices)
+
+    return _refine(run, start_steps, tol, max_steps)
+
+
+# Gauss-Legendre nodes of the 4th-order Magnus step, as fractions of the
+# step width: (1/2 -+ sqrt(3)/6) h into the step.
+_GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
+_MAGNUS_START_STEPS = 16
+
+
+def _magnus_propagator(h_of_s: Callable, scale: float, tol: float,
+                       max_steps: int) -> tuple[np.ndarray, int]:
+    """U(1) for U' = -(i/scale) H(s) U, U(0) = 1, by 4th-order Magnus steps.
+
+    With H1, H2 at the two Gauss-Legendre nodes of a step of width h, the
+    step is exp(-i K) with the hermitian
+    K = (h/(2 scale)) (H1 + H2) - i (sqrt(3) h^2/(12 scale^2)) [H2, H1]
+    (Iserles & Norsett 1999; Blanes, Casas, Oteo & Ros 2009), evaluated as
+    V diag(e^{-i w}) V^H from one batched eigh, so every step is unitary
+    to rounding.  h_of_s maps an array of points to a stack of hermitian
+    matrices.  Steps are reduced in aligned blocks as in
+    propagate_linear_ode, with the same step doubling from
+    _MAGNUS_START_STEPS.
+    """
+
+    def run(steps: int) -> np.ndarray:
+        h = 1.0 / steps
+        ratio = h / scale
+        mean_coef = 0.5 * ratio
+        comm_coef = math.sqrt(3.0) / 12.0 * ratio * ratio
+
+        def unitaries(lo: int, hi: int) -> np.ndarray:
+            nodes = h * (np.arange(lo, hi)[:, None] + _GAUSS_NODES)
+            hs = h_of_s(nodes.reshape(-1))
+            h1, h2 = hs[0::2], hs[1::2]
+            with np.errstate(over="ignore", invalid="ignore"):
+                k = (mean_coef * (h1 + h2)
+                     - (1j * comm_coef) * (h2 @ h1 - h1 @ h2))
+                w, v = np.linalg.eigh(k)
+                return (v * np.exp(-1j * w)[:, None, :]) @ np.swapaxes(
+                    v, -1, -2).conj()
+
+        return _blocked_product(steps, unitaries)
+
+    return _refine(run, _MAGNUS_START_STEPS, tol, max_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -464,26 +553,23 @@ def _continued_basis(h_of_s: Callable, dim: int, points: int = 1025
 
     Sorted eigenvectors are phase-aligned step to step by making the
     overlap with the previous frame real positive; an overlap magnitude
-    below 0.7 means the sampling cannot track the branch.
+    below 0.7 means the sampling cannot track the branch.  Aligning frame
+    k multiplies raw frame k by the running product of conj(o_j)/|o_j|
+    over the raw overlaps o_j of consecutive frames j <= k, so the end
+    frame is the last raw frame times that product over the whole path.
     """
     s = np.linspace(0.0, 1.0, points)
     hs = _sample_matrices(h_of_s, s, dim)
     vals, vecs = np.linalg.eigh(hs)
-    start = vecs[0].copy()
-    prev = start.copy()
-    worst = 1.0
-    for k in range(1, points):
-        cur = vecs[k]
-        ov = np.sum(prev.conj() * cur, axis=0)
-        mags = np.abs(ov)
-        worst = min(worst, float(mags.min()))
-        if worst < 0.7:
-            raise NumericalError(
-                "eigenpath continuation lost track of a branch; "
-                "the spectrum may cross along the path")
-        cur = cur * (ov.conj() / np.where(mags == 0, 1.0, mags))
-        prev = cur
-    return start, prev, worst
+    ov = np.sum(vecs[:-1].conj() * vecs[1:], axis=1)
+    mags = np.abs(ov)
+    worst = min(1.0, float(mags.min()))
+    if worst < 0.7:
+        raise NumericalError(
+            "eigenpath continuation lost track of a branch; "
+            "the spectrum may cross along the path")
+    turn = np.prod(ov.conj() / mags, axis=0)
+    return vecs[0].copy(), vecs[-1] * turn, worst
 
 
 @dataclass(frozen=True)
@@ -516,17 +602,25 @@ def adiabatic_evolve(family: Callable, path: Callable, alpha: float,
 
     family maps a parameter value g to a hermitian matrix, path maps
     s in [0, 1] to g; alpha > 0 scales physical time as T = 1/alpha.
-    Callables may accept arrays (batched evaluation) or scalars.
+    Callables may accept arrays (batched evaluation) or scalars.  Every
+    sampled value of family(path(s)) must pass the hermitian input rule.
+
+    U is integrated by 4th-order Magnus steps (each one unitary), starting
+    at 16 steps and doubling until two resolutions agree to tol in max
+    norm; `steps` of the result counts the Magnus steps of the last one.
     """
     if not alpha > 0:
         raise ValidationError("alpha must be positive")
+    if not hbar > 0:
+        raise ValidationError("hbar must be positive")
     dim = _hermitian(family(path(0.0)), "family value").shape[0]
 
     def h_of_s(s):
-        return family(path(s))
-
-    def a_of_s(s):
-        return (-1j / (alpha * hbar)) * np.asarray(h_of_s(s), dtype=complex)
+        hs = _sample_matrices(lambda x: family(path(x)), np.atleast_1d(s),
+                              dim)
+        if hs.shape[1:] != (dim, dim):
+            raise ValidationError("family values must share one dimension")
+        return _hermitian(hs, "family value", stacked=True)
 
     integrals, min_gap = _simpson_eigen_traces(h_of_s, dim)
     if dim > 1 and min_gap < gap_threshold:
@@ -536,8 +630,7 @@ def adiabatic_evolve(family: Callable, path: Callable, alpha: float,
     dyn = integrals / (alpha * hbar)
     phases = dyn[:, None] - dyn[None, :]
 
-    u, steps = propagate_linear_ode(a_of_s, dim, 0.0, 1.0, tol=tol,
-                                    max_steps=max_steps)
+    u, steps = _magnus_propagator(h_of_s, alpha * hbar, tol, max_steps)
 
     start, end, _ = _continued_basis(h_of_s, dim)
     propagated = u @ start

@@ -285,20 +285,24 @@ def _require_finite(m, what: str, shape: tuple | None = None) -> np.ndarray:
     return m
 
 
-def _hermitian(m, what: str) -> np.ndarray:
+def _hermitian(m, what: str, stacked: bool = False) -> np.ndarray:
     """The hermitian part 0.5 (m + m^H) of a matrix checked to be hermitian.
 
     The one input rule for every hamiltonian, generator, occupation and
     density matrix: m is a nonempty square matrix of finite entries with
     max|m - m^H| <= 1e-12 max|m|.  The bound has no floor, so the verdict
-    does not depend on the scale of m, and the zero matrix passes.
+    does not depend on the scale of m, and the zero matrix passes.  With
+    stacked=True, m is a stack of such matrices along its first axis and
+    each one is held to the rule at its own scale.
     """
     m = _require_finite(m, what)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+    if m.ndim != 2 + stacked or m.shape[-1] != m.shape[-2] or m.size == 0:
         raise ValidationError(f"{what} must be a nonempty square matrix")
-    if float(np.abs(m - m.conj().T).max()) > 1e-12 * float(np.abs(m).max()):
+    mh = np.swapaxes(m, -1, -2).conj()
+    skew = np.abs(m - mh).max(axis=(-2, -1))
+    if np.any(skew > 1e-12 * np.abs(m).max(axis=(-2, -1))):
         raise ValidationError(f"{what} must be hermitian within 1e-12")
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * (m + mh)
 
 
 @dataclass(frozen=True)

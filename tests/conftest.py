@@ -1,5 +1,13 @@
+import sys
+
 import numpy as np
 import pytest
+
+
+def pytest_terminal_summary(terminalreporter):
+    golden = sys.modules.get("test_cli_golden")
+    if golden is not None:
+        terminalreporter.write_line(f"CLI golden gate: {golden.MODE}")
 
 
 @pytest.fixture

@@ -17,6 +17,13 @@ of a resolution at once before the product tree; src builds them in
 aligned blocks.  `fermi_trace_fraction` sums the 2^m occupation masks in
 `Fraction` arithmetic; src sums integer numerators over one power-of-two
 denominator.
+
+`phase_sums_full` exponentiates all d x d level pairs of every trial; src
+exponentiates the strict upper triangle and fills the rest by conjugation.
+`trotter_errors_alternating` forms each slice count's exponentials and
+products in turn; src forms every exponential before any product.
+`continued_end_frame` phase-aligns the eigenframes one step at a time;
+src multiplies the last frame by the product of the overlap phases.
 """
 
 import math
@@ -336,3 +343,36 @@ def fermi_trace_fraction(eps, beta: float):
                 occ_weighted[k] += w
     return (float(z_trace), float(e_weighted / z_trace),
             tuple(float(x / z_trace) for x in occ_weighted))
+
+
+def phase_sums_full(phases: np.ndarray) -> np.ndarray:
+    """Sums over trials of exp(-i (phases[m] - phases[n])), every (m, n)
+    pair exponentiated."""
+    return np.exp(-1j * (phases[:, None, :] - phases[None, :, :])).sum(axis=2)
+
+
+def trotter_errors_alternating(factors, t: float, n_values) -> dict:
+    """trotter_order's errors, each slice count's exponentials and
+    products formed in turn."""
+    import scipy.linalg
+
+    mats = [np.asarray(f, dtype=complex) for f in factors]
+    exact = scipy.linalg.expm(t * sum(mats))
+    errors = {}
+    for n in n_values:
+        step = np.eye(exact.shape[0], dtype=complex)
+        for m in mats:
+            step = step @ scipy.linalg.expm((t / n) * m)
+        approx = np.linalg.matrix_power(step, n)
+        errors[int(n)] = float(np.linalg.norm(approx - exact))
+    return errors
+
+
+def continued_end_frame(vecs: np.ndarray) -> np.ndarray:
+    """The last of a path of eigenframes, each frame phase-aligned to the
+    previous aligned one so their overlaps are real positive."""
+    prev = vecs[0]
+    for cur in vecs[1:]:
+        ov = np.sum(prev.conj() * cur, axis=0)
+        prev = cur * (ov.conj() / np.abs(ov))
+    return prev

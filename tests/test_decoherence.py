@@ -6,6 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_density
+from oracles import phase_sums_full
+from qtoolkit import decoherence
 from qtoolkit.decoherence import (
     BornReport,
     PerturbationEnsemble,
@@ -154,6 +157,64 @@ def test_average_density_thread_count_is_byte_identical():
     r4 = average_density(ens, k0, threads=4)
     assert np.array_equal(r1.phase_monte_carlo, r4.phase_monte_carlo)
     assert np.array_equal(r1.averaged, r4.averaged)
+
+
+def test_phase_sums_equal_full_route():
+    # signed zeros included: compare bytes, over d = 1..6 and odd counts
+    rng = np.random.default_rng(np.random.Philox(2024))
+    for _ in range(120):
+        d = int(rng.integers(1, 7))
+        trials = int(rng.integers(1, 4000)) | 1
+        phases = rng.normal(size=(d, trials)) * rng.uniform(0.1, 1e3)
+        got = decoherence._phase_sums(phases)
+        assert got.tobytes() == phase_sums_full(phases).tobytes()
+
+
+def level_drive(d, rng):
+    """d gapped levels shifted by lam g a_k + lam^2 g b_k: phases are
+    quadratic in lam, so the phase table stays small."""
+    a, b = rng.uniform(-1.0, 1.0, size=(2, d))
+
+    def family(lam, g):
+        g = np.asarray(g, dtype=float)
+        out = np.zeros(g.shape + (d, d), dtype=complex)
+        for k in range(d):
+            out[..., k, k] = k + lam * g * a[k] + lam * lam * g * b[k]
+        return out
+    return family
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("samples", [False, True])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_born_report_equals_full_phase_sums(monkeypatch, d, samples,
+                                            threads):
+    # chunks of 1000 trials: 2,501 trials end on a partial third chunk
+    rng = np.random.default_rng(np.random.Philox(100 * d + samples))
+    lam = tuple(rng.uniform(-0.3, 0.3, size=37)) if samples else None
+    ens = make_ensemble(family=level_drive(d, rng), alpha=0.05,
+                        lam_samples=lam, trials=2501, seed=d)
+    k0 = random_density(rng, d)
+    monkeypatch.setattr(decoherence, "_CHUNK", 1000)
+    got = average_density(ens, k0, threads=threads)
+    monkeypatch.setattr(decoherence, "_phase_sums", phase_sums_full)
+    want = average_density(ens, k0, threads=threads)
+    for field in dataclasses.fields(BornReport):
+        assert (np.asarray(getattr(got, field.name)).tobytes()
+                == np.asarray(getattr(want, field.name)).tobytes()), field.name
+
+
+def test_born_report_equals_full_phase_sums_at_full_chunks(monkeypatch):
+    rng = np.random.default_rng(np.random.Philox(77))
+    ens = make_ensemble(family=level_drive(3, rng), alpha=0.05,
+                        trials=65536 + 4097, seed=11)
+    k0 = random_density(rng, 3)
+    got = average_density(ens, k0, threads=2)
+    monkeypatch.setattr(decoherence, "_phase_sums", phase_sums_full)
+    want = average_density(ens, k0, threads=2)
+    for field in dataclasses.fields(BornReport):
+        assert (np.asarray(getattr(got, field.name)).tobytes()
+                == np.asarray(getattr(want, field.name)).tobytes()), field.name
 
 
 def test_average_density_positive_and_trace_preserving():

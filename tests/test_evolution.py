@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from oracles import propagate_linear_ode_dense
+from oracles import (continued_end_frame, propagate_linear_ode_dense,
+                     trotter_errors_alternating)
 from qtoolkit import evolution
 from qtoolkit.errors import NumericalError, ValidationError
 from qtoolkit.evolution import (
@@ -149,6 +150,61 @@ def test_trotter_dimension_mismatch():
         trotter_slices([np.eye(2), np.eye(3)], 1.0, 4)
     with pytest.raises(ValidationError):
         trotter_slices([np.eye(2)], 1.0, 0)
+
+
+def oscillator_factors(cutoff):
+    q, p = ladder_quadratures(cutoff)
+    return [-0.5j * (p @ p), -0.5j * (q @ q)]
+
+
+@pytest.mark.parametrize("cutoff, t, n_values", [
+    (8, 1.0, [16, 32, 64, 128]),
+    (20, 1.0, [16, 32, 64, 128]),
+    (40, 1.0, [16, 32, 64, 128]),
+    (40, 0.7, [128, 3, 16, 16, 5]),
+    (12, 2.5, [1, 2]),
+])
+def test_trotter_order_errors_equal_alternating_route(cutoff, t, n_values):
+    factors = oscillator_factors(cutoff)
+    report = trotter_order(factors, t, n_values)
+    expected = trotter_errors_alternating(factors, t, n_values)
+    assert list(report.errors) == list(expected)
+    for n, e in expected.items():
+        assert report.errors[n].hex() == e.hex(), n
+
+
+def test_trotter_order_errors_equal_alternating_route_random(rng):
+    factors = [rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+               for _ in range(3)]
+    report = trotter_order(factors, 0.9, [4, 9, 17])
+    expected = trotter_errors_alternating(factors, 0.9, [4, 9, 17])
+    assert {n: e.hex() for n, e in report.errors.items()} == {
+        n: e.hex() for n, e in expected.items()}
+
+
+@pytest.mark.parametrize("factors, t, n_values, match", [
+    ([np.eye(2), np.eye(3)], 1.0, [4, 8], "square dimension"),
+    ([np.eye(2), np.ones((2, 3))], 1.0, [4, 8], "square dimension"),
+    ([np.ones(2), np.ones(2)], 1.0, [4, 8], "square dimension"),
+    ([np.eye(2), np.array([1.0, np.nan])], 1.0, [4, 8], "non-finite"),
+    ([], 1.0, [4, 8], "at least one factor"),
+    ([np.eye(2)], math.inf, [4, 8], "finite"),
+    ([np.eye(2)], math.nan, [4, 8], "finite"),
+    ([np.eye(2)], 1.0, [0, 8], ">= 1"),
+    ([np.eye(2)], 1.0, [-4, 8], ">= 1"),
+])
+def test_trotter_order_validates_before_any_exponential(
+        monkeypatch, factors, t, n_values, match):
+    def refuse(*args, **kwargs):
+        raise AssertionError("expm called before validation")
+    monkeypatch.setattr(scipy.linalg, "expm", refuse)
+    with pytest.raises(ValidationError, match=match):
+        trotter_order(factors, t, n_values)
+
+
+def test_trotter_slices_rejects_infinite_time():
+    with pytest.raises(ValidationError, match="finite"):
+        trotter_slices([np.eye(2)], math.inf, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +530,116 @@ def test_adiabatic_oscillator_commuting_family_closed_form(rng):
     mn = np.arange(6)
     closed = np.exp(-1j * (mn[:, None] - mn[None, :]) * phi) * k0
     assert np.abs(kt - closed).max() <= 1e-7
+
+
+def four_level_drive(alpha):
+    """The gapped 4-level drive of the benchmark's numeric workload: its
+    family, path and -(i/alpha) H(path(s))."""
+    levels = np.diag([0.0, 1.0, 2.1, 3.3]).astype(complex)
+    coupling = np.zeros((4, 4), dtype=complex)
+    for k, z in enumerate([0.13 * np.exp(0.4j), 0.17 * np.exp(2.2j),
+                           0.11 * np.exp(-1.3j)]):
+        coupling[k, k + 1], coupling[k + 1, k] = z, np.conj(z)
+
+    def family(g):
+        return levels + np.asarray(g, dtype=float)[..., None, None] * coupling
+
+    def path(s):
+        return np.sin(np.pi * np.asarray(s, dtype=float))
+    return family, path
+
+
+def avoided_crossing(alpha):
+    def family(g):
+        g = np.asarray(g, dtype=float)
+        out = np.zeros(g.shape + (2, 2), dtype=complex)
+        out[..., 0, 0], out[..., 1, 1] = g, -g
+        out[..., 0, 1] = out[..., 1, 0] = 0.3
+        return out
+    return family, lambda s: 2.0 * np.asarray(s, dtype=float) - 1.0
+
+
+def random_drive(alpha):
+    rng = np.random.default_rng(np.random.Philox(31))
+    h0, h1, h2 = (random_hermitian(rng, 3) for _ in range(3))
+
+    def family(g):
+        g = np.asarray(g, dtype=float)[..., None, None]
+        return h0 + np.sin(2.0 * g) * h1 + g * g * h2
+    return family, lambda s: np.asarray(s, dtype=float)
+
+
+@pytest.mark.parametrize("drive, alpha", [
+    (four_level_drive, 0.1), (four_level_drive, 0.05),
+    (avoided_crossing, 0.2), (random_drive, 0.25)])
+def test_adiabatic_magnus_matches_rk4(drive, alpha):
+    family, path = drive(alpha)
+    res = adiabatic_evolve(family, path, alpha, tol=1e-10,
+                           gap_threshold=1e-3)
+    dim = res.u.shape[0]
+    u_rk4, _ = propagate_linear_ode(
+        lambda s: (-1j / alpha) * family(path(s)), dim, 0.0, 1.0, tol=1e-10)
+    assert np.abs(res.u - u_rk4).max() <= 1e-8
+    assert np.abs(res.u.conj().T @ res.u - np.eye(dim)).max() <= 1e-12
+
+
+def test_adiabatic_magnus_is_fourth_order():
+    # the commutator term [H2, H1] with the wrong sign still converges,
+    # but only at 2nd order: 32,768 steps on this drive instead of 256
+    family, path = four_level_drive(0.1)
+    res = adiabatic_evolve(family, path, 0.1)
+    assert res.steps <= 512
+
+
+def test_adiabatic_small_alpha_converges():
+    family, path = four_level_drive(1e-3)
+    res = adiabatic_evolve(family, path, 1e-3)
+    assert res.steps <= 1 << 14
+    assert np.abs(res.u.conj().T @ res.u - np.eye(4)).max() <= 1e-12
+    assert res.leakage.max() <= 10 * 1e-3
+
+
+def test_adiabatic_rejects_nonfinite_interior_value():
+    # finite at s = 0, NaN past g = 0.5
+    def family(g):
+        g = np.asarray(g, dtype=float)
+        out = np.zeros(g.shape + (2, 2), dtype=complex)
+        out[..., 1, 1] = np.where(g > 0.5, np.nan, 1.0 + g)
+        return out
+
+    with pytest.raises(ValidationError, match="non-finite"):
+        adiabatic_evolve(family, lambda s: np.asarray(s), alpha=0.1)
+
+
+def test_adiabatic_rejects_nonhermitian_interior_value():
+    # hermitian at g = 0 only
+    def family(g):
+        g = np.asarray(g, dtype=float)
+        out = np.zeros(g.shape + (2, 2), dtype=complex)
+        out[..., 1, 1] = 1.0
+        out[..., 0, 1] = g
+        return out
+
+    with pytest.raises(ValidationError, match="hermitian"):
+        adiabatic_evolve(family, lambda s: np.asarray(s), alpha=0.1)
+
+
+def test_adiabatic_rejects_family_changing_dimension():
+    def family(g):
+        return np.eye(2) if float(g) == 0.0 else np.eye(3)
+
+    with pytest.raises(ValidationError, match="dimension"):
+        adiabatic_evolve(family, lambda s: s, alpha=0.1)
+
+
+def test_continued_basis_aligns_consecutive_frames():
+    family, path = four_level_drive(0.1)
+    h_of_s = lambda s: family(path(s))
+    start, end, worst = evolution._continued_basis(h_of_s, 4)
+    vecs = np.linalg.eigh(h_of_s(np.linspace(0.0, 1.0, 1025)))[1]
+    assert start.tobytes() == vecs[0].tobytes()
+    assert np.abs(end - continued_end_frame(vecs)).max() <= 1e-13
+    assert 0.7 <= worst <= 1.0
 
 
 def test_adiabatic_gap_collapse_detected():

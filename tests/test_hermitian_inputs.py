@@ -16,7 +16,7 @@ from qtoolkit.decoherence import (PerturbationEnsemble, average_density,
 from qtoolkit.errors import NumericalError, ValidationError
 from qtoolkit.evolution import (EvolutionProblem, adiabatic_evolve,
                                 evolve_density, expm, heisenberg)
-from qtoolkit.fock import DensityMatrix, FockSpec
+from qtoolkit.fock import DensityMatrix, FockSpec, _hermitian
 from qtoolkit.geometry_gns import (AlgebraState, equivalence_quotient,
                                    induced_hamiltonian, moment_map)
 from qtoolkit.lfunctional import GaussianLFunctional, from_density
@@ -120,6 +120,20 @@ def test_operator_verdict_is_scale_free(entry):
     for m in (_STATE, np.zeros((2, 2))):
         for scale in _SCALES:
             _accepts(_OPERATOR_INPUTS[entry], scale * np.asarray(m, complex))
+
+
+def test_stacked_rule_holds_each_matrix_to_its_own_scale():
+    # the skew of `tiny` is 1e-15 absolute: far below 1e-12 of the stack's
+    # largest entry, far above 1e-12 of its own
+    big = 1e6 * np.asarray(_STATE, dtype=complex)
+    tiny = 1e-9 * np.array([[1.0, 1e-6], [0.0, 1.0]], dtype=complex)
+    with pytest.raises(ValidationError, match="hermitian"):
+        _hermitian(np.stack([big, tiny]), "stack", stacked=True)
+    out = _hermitian(np.stack([big, big.T, 0 * big]), "stack", stacked=True)
+    for m, got in zip((big, big.T, 0 * big), out):
+        assert got.tobytes() == _hermitian(m, "one").tobytes()
+    with pytest.raises(ValidationError, match="square"):
+        _hermitian(big, "stack", stacked=True)
 
 
 _NAN = [[np.nan, 0.0], [0.0, 1.0]]
