@@ -9,8 +9,11 @@ occupation of mode k at basis index i is (i // stride_k) % (c_k + 1) with
 stride_1 = 1 and stride_k = prod_{j<k}(c_j + 1).
 
 A word of ladder operators maps each basis column to a single row (an
-index shift times a diagonal weight); `_ladder_word` computes that pair
-in O(dim), and every ladder product below is built from it.
+index shift times a diagonal weight).  `_ladder_words` computes that pair
+for a whole stack of equal-length words at once, one table gather per
+letter, and every ladder product below is built from it.  Callers split
+their stacks with `_blocks`, so no pass holds more than `_WORD_BLOCK`
+(words x dim) entries per array, whatever the number of words.
 
 Commutation relations carry an explicit hbar:
 
@@ -24,7 +27,7 @@ their value.
 
 from __future__ import annotations
 
-import functools
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -77,8 +80,8 @@ class FockSpec:
             raise ValidationError("every cutoff must be >= 1")
         if self.statistics == "fermi" and any(c != 1 for c in self.cutoffs):
             raise ValidationError("fermionic cutoffs are fixed to 1")
-        if not (self.hbar > 0):
-            raise ValidationError("hbar must be positive")
+        if not (math.isfinite(self.hbar) and self.hbar > 0):
+            raise ValidationError("hbar must be positive and finite")
 
     @classmethod
     def bose(cls, cutoffs: Sequence[int], hbar: float = 1.0) -> "FockSpec":
@@ -146,30 +149,89 @@ def _check_mode(spec: FockSpec, k: int) -> int:
     return k - 1
 
 
-def _ladder_word(spec: FockSpec, word) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, weights): column c of the word's matrix holds weights[c] at
-    row rows[c] and zeros elsewhere.
+_WORD_BLOCK = 1 << 16  # cap on the (words x dim) entries of one pass
 
-    `word` lists letters (is_creation, k), leftmost first, modes from 0.
-    A weight is 0 where a letter passes a cutoff or the Pauli exclusion.
-    The factors multiply left to right, the association of the chain
-    L_1 @ L_2 @ ... @ L_n, so the entries equal that chain's bit for bit.
+
+def _blocks(count: int, entries: int) -> list[slice]:
+    """Slices of range(count) for items of `entries` entries each: at most
+    _WORD_BLOCK entries a slice, one item at least."""
+    step = max(1, _WORD_BLOCK // entries)
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
+
+
+def _letter_tables(spec: FockSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(dest, factor), each (2 modes, dim): row k is the letter a^+_k, row
+    modes + k the letter a_k, and column c of a letter's matrix holds
+    factor[., c] at row dest[., c].  Past a cutoff or the Pauli exclusion
+    the factor is 0 and the row stays c.  The Jordan-Wigner sign comes
+    from the integer parity of n_1 + ... + n_{k-1}, so it is exact.
     """
-    occ = spec.occupations
-    rows = np.arange(spec.dim)
+    occ = spec.occupations.T
+    up, down = occ < np.array(spec.cutoffs)[:, None], occ > 0
+    if spec.statistics == "bose":
+        up_f = np.sqrt(spec.hbar * (occ + 1.0))
+        down_f = np.sqrt(spec.hbar * occ)
+    else:
+        up_f = down_f = 1.0 - 2.0 * ((np.cumsum(occ, axis=0) - occ) % 2)
+    cols, stride = np.arange(spec.dim), np.array(spec.strides)[:, None]
+    return (np.concatenate([np.where(up, cols + stride, cols),
+                            np.where(down, cols - stride, cols)]),
+            np.concatenate([np.where(up, up_f, 0.0),
+                            np.where(down, down_f, 0.0)]))
+
+
+def _ladder_words(tables: tuple[np.ndarray, np.ndarray], creation, modes
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, weights), each (..., dim), of a stack of equal-length words:
+    column c of a word's matrix holds weights[..., c] at row rows[..., c].
+
+    `tables` is _letter_tables(spec); creation and modes broadcast to the
+    (..., letters) stack, leftmost letter first: a^+_k where creation is
+    true, else a_k, for k = modes counted from 0.  Callers bound the stack
+    with _blocks.  Letters apply right to left, one gather from the tables
+    each, and their factors multiply left to right, the association of
+    the chain L_1 @ L_2 @ ... @ L_n, so the entries equal that chain's bit
+    for bit.
+    """
+    dest, factor = tables
+    width = dest.shape[1]
+    offsets = (np.where(creation, 0, len(dest) // 2) + modes) * width
+    rows = np.broadcast_to(np.arange(width), offsets.shape[:-1] + (width,))
     factors = []
-    for creation, k in reversed(word):
-        n = occ[rows, k]
-        ok = n < spec.cutoffs[k] if creation else n > 0
-        if spec.statistics == "bose":
-            factor = np.sqrt(spec.hbar * ((n + 1.0) if creation else n))
-        else:
-            factor = 1.0 - 2.0 * (occ[rows, :k].sum(axis=1) % 2)
-        factors.append(np.where(ok, factor, 0.0))
-        rows = np.where(ok, rows + (1 if creation else -1) * spec.strides[k],
-                        rows)
-    return rows, functools.reduce(np.multiply, factors[::-1],
-                                  np.ones(spec.dim))
+    for t in reversed(range(offsets.shape[-1])):
+        flat = rows + offsets[..., t, None]
+        factors.append(factor.take(flat))
+        rows = dest.take(flat)
+    weights = np.ones(rows.shape)
+    for f in reversed(factors):
+        weights *= f
+    return rows, weights
+
+
+def _monomials(spec: FockSpec, exponents):
+    """Yield (block, rows, weights) of the monomials (a^+)^alpha a^beta,
+    one per row (alpha, beta) of `exponents`, in order, in _blocks.
+
+    A monomial's word lists its creators, then its annihilators, each by
+    ascending mode; the words of one length in a block form one stack.
+    """
+    tables = _letter_tables(spec)
+    exponents = np.reshape(np.asarray(exponents, dtype=np.intp),
+                           (-1, 2 * spec.modes))
+    kinds = np.arange(2 * spec.modes)
+    for block in _blocks(len(exponents), spec.dim):
+        exps = exponents[block]
+        lengths = exps.sum(axis=1)
+        rows = np.empty((len(exps), spec.dim), dtype=np.intp)
+        weights = np.empty((len(exps), spec.dim))
+        for length in np.unique(lengths):
+            group = lengths == length
+            words = exps[group]
+            letters = np.repeat(np.tile(kinds, len(words)), words.ravel()
+                                ).reshape(len(words), length)
+            rows[group], weights[group] = _ladder_words(
+                tables, letters < spec.modes, letters % spec.modes)
+        yield block, rows, weights
 
 
 def creation_matrix(spec: FockSpec, k: int) -> np.ndarray:
@@ -179,7 +241,8 @@ def creation_matrix(spec: FockSpec, k: int) -> np.ndarray:
     zero at the cutoff top; fermionic entries carry the Jordan-Wigner sign
     (-1)^(sum_{j<k} n_j).
     """
-    rows, weights = _ladder_word(spec, ((True, _check_mode(spec, k)),))
+    rows, weights = _ladder_words(_letter_tables(spec), True,
+                                  [_check_mode(spec, k)])
     a_dag = np.zeros((spec.dim, spec.dim), dtype=complex)
     a_dag[rows, np.arange(spec.dim)] = weights
     return a_dag
@@ -207,10 +270,12 @@ def quadratic_hamiltonian(spec: FockSpec, eps: Sequence[float]) -> np.ndarray:
     eps = np.asarray(eps, dtype=float)
     if eps.shape != (spec.modes,):
         raise ValidationError("eps length must equal mode count")
+    scales = eps / spec.hbar
     diag = np.zeros(spec.dim)
-    for k in range(spec.modes):
-        _, weights = _ladder_word(spec, ((True, k), (False, k)))
-        diag += (eps[k] / spec.hbar) * weights
+    number_words = np.tile(np.eye(spec.modes, dtype=np.intp), 2)
+    for block, _, weights in _monomials(spec, number_words):
+        for scale, w in zip(scales[block], weights):
+            diag += scale * w
     return np.diag(diag).astype(complex)
 
 
@@ -243,36 +308,49 @@ def ccr_defect(spec: FockSpec) -> CommutationDefect:
     hbar*(c+1) on the diagonal k = l.  Both words of a commutator move a
     column alike, so it has one entry a column; on a safe column a_k a^+_l
     vanishes only where the commutator does, so its row places the entry.
+    The words of all mode pairs form one stack, evaluated in blocks of at
+    most _WORD_BLOCK (words x dim) entries.
     """
     if spec.statistics != "bose":
         raise ValidationError("ccr_defect requires a bosonic spec")
     is_safe = np.all(spec.occupations < np.array(spec.cutoffs), axis=1)
+    tables = _letter_tables(spec)
+    k, l = np.divmod(np.arange(spec.modes ** 2), spec.modes)
+    shifts = spec.hbar * np.eye(spec.modes).ravel()
+    # a_k a^+_l and a^+_l a_k for every mode pair
+    creation = [[False, True], [True, False]]
+    modes = np.stack([np.stack([k, l], -1), np.stack([l, k], -1)], 1)
     safe = unrestricted = 0.0
-    for k in range(spec.modes):
-        for l in range(spec.modes):
-            rows, ak_al = _ladder_word(spec, ((False, k), (True, l)))
-            _, al_ak = _ladder_word(spec, ((True, l), (False, k)))
-            comm = ak_al - al_ak - (spec.hbar if k == l else 0.0)
-            unrestricted = max(unrestricted, float(np.abs(comm).max()))
-            block = comm[is_safe & is_safe[rows]]
-            safe = max(safe, float(np.abs(block).max(initial=0.0)))
+    for block in _blocks(len(modes), 2 * spec.dim):
+        rows, words = _ladder_words(tables, creation, modes[block])
+        comm = words[:, 0] - words[:, 1] - shifts[block, None]
+        unrestricted = max(unrestricted, float(np.abs(comm).max()))
+        kept = comm[is_safe & is_safe[rows[:, 0]]]
+        safe = max(safe, float(np.abs(kept).max(initial=0.0)))
     return CommutationDefect(safe=safe, unrestricted=unrestricted)
 
 
 def car_defect(spec: FockSpec) -> CommutationDefect:
-    """Max-entry defect of {a_k,a^+_l} - delta_kl and {a_k,a_l}; exact 0."""
+    """Max-entry defect of {a_k,a^+_l} - delta_kl and {a_k,a_l}; exact 0.
+
+    The words of all mode pairs form one stack, evaluated in blocks of at
+    most _WORD_BLOCK (words x dim) entries.
+    """
     if spec.statistics != "fermi":
         raise ValidationError("car_defect requires a fermionic spec")
+    tables = _letter_tables(spec)
+    k, l = np.divmod(np.arange(spec.modes ** 2), spec.modes)
+    deltas = np.eye(spec.modes).ravel()
+    # a_k a^+_l, a^+_l a_k, a_k a_l and a_l a_k for every mode pair
+    creation = [[False, True], [True, False], [False, False], [False, False]]
+    kl, lk = np.stack([k, l], -1), np.stack([l, k], -1)
+    modes = np.stack([kl, lk, kl, lk], 1)
     worst = 0.0
-    for k in range(spec.modes):
-        for l in range(spec.modes):
-            _, first = _ladder_word(spec, ((False, k), (True, l)))
-            _, second = _ladder_word(spec, ((True, l), (False, k)))
-            anti = first + second - (1.0 if k == l else 0.0)
-            _, first = _ladder_word(spec, ((False, k), (False, l)))
-            _, second = _ladder_word(spec, ((False, l), (False, k)))
-            worst = max(worst, float(np.abs(anti).max()),
-                        float(np.abs(first + second).max()))
+    for block in _blocks(len(modes), 4 * spec.dim):
+        _, words = _ladder_words(tables, creation, modes[block])
+        anti = words[:, 0] + words[:, 1] - deltas[block, None]
+        worst = max(worst, float(np.abs(anti).max()),
+                    float(np.abs(words[:, 2] + words[:, 3]).max()))
     return CommutationDefect(safe=worst, unrestricted=worst)
 
 
@@ -391,7 +469,13 @@ def poisson_overlap(spec: FockSpec, f: Sequence[complex], g: Sequence[complex]) 
     """Closed form <Theta_f, Theta_g> = exp(sum f_k conj(g_k) / hbar)."""
     f = np.asarray(f, dtype=complex)
     g = np.asarray(g, dtype=complex)
-    return complex(np.exp(np.sum(f * np.conj(g)) / spec.hbar))
+    if f.shape != (spec.modes,) or g.shape != (spec.modes,):
+        raise ValidationError("f and g lengths must equal mode count")
+    with np.errstate(over="ignore", invalid="ignore"):
+        overlap = complex(np.exp(np.sum(f * np.conj(g)) / spec.hbar))
+    if not cmath.isfinite(overlap):
+        raise NumericalError("Poisson overlap exceeds double range")
+    return overlap
 
 
 def _scaled_norm(v: np.ndarray) -> float:
@@ -448,14 +532,25 @@ def norm_divergence_demo(f_values: Sequence[complex], m_list: Sequence[int],
 
     Demonstrates the normalizability criterion: the norm converges iff
     sum |f_k|^2 does.  Returns one row per m with the partial sum and the
-    norm squared.
+    norm squared; NumericalError where the norm squared exceeds double
+    range.
     """
-    f = np.asarray(f_values, dtype=complex)
+    if not (math.isfinite(hbar) and hbar > 0):
+        raise ValidationError("hbar must be positive and finite")
+    f = _require_finite(f_values, "f values")
     rows = []
     for m in m_list:
         m = int(m)
         if m < 0 or m > len(f):
             raise ValidationError(f"m={m} outside supplied f range")
-        s = float(np.sum(np.abs(f[:m]) ** 2)) / hbar
-        rows.append({"m": m, "sum_sq": s, "norm_sq": math.exp(s)})
+        with np.errstate(over="ignore"):
+            s = float(np.sum(np.abs(f[:m]) ** 2)) / hbar
+        try:
+            norm_sq = math.exp(s)
+        except OverflowError:
+            norm_sq = math.inf
+        if math.isinf(norm_sq):  # also where |f_k|^2 itself overflows
+            raise NumericalError(f"norm squared exp({s!r}) exceeds double "
+                                 "range")
+        rows.append({"m": m, "sum_sq": s, "norm_sq": norm_sq})
     return rows

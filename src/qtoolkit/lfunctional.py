@@ -35,10 +35,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .fock import (DensityMatrix, FockSpec, _hermitian, _ladder_word,
+from .fock import (DensityMatrix, FockSpec, _hermitian, _monomials,
                    annihilation_matrix, creation_matrix)
 from .serialize import matrix_from_json, matrix_to_json
-from .weyl_clifford import NormalOrderedPolynomial, _key_to_word, involution
+from .weyl_clifford import NormalOrderedPolynomial, involution
 
 __all__ = [
     "TaylorLFunctional",
@@ -147,24 +147,29 @@ def _taylor_from_operator(op: np.ndarray, spec: FockSpec, degree: int
 
     Column c of the ladder word (a^+)^beta a^gamma holds weights[c] at row
     rows[c], so each trace is sum_c weights[c] op[c, rows[c]], O(dim).
+    fock._monomials evaluates the words in blocks of at most
+    fock._WORD_BLOCK (words x dim) entries, the keys of one length in a
+    block as one stack.
     """
+    keys = _all_keys(spec.modes, degree)
     cols = np.arange(spec.dim)
-    corr = {}
-    for key in _all_keys(spec.modes, degree):
-        rows, weights = _ladder_word(spec, _key_to_word("bose", spec.modes,
-                                                        key))
-        corr[key] = complex(weights @ op[cols, rows])
+    values = []
+    for _, rows, weights in _monomials(spec, [b + g for b, g in keys]):
+        values.extend(complex(w @ v) for w, v in zip(weights, op[cols, rows]))
     return TaylorLFunctional(modes=spec.modes, degree=degree, hbar=spec.hbar,
-                             correlations=corr)
+                             correlations=dict(zip(keys, values)))
 
 
 def from_density(k: DensityMatrix | np.ndarray, spec: FockSpec,
                  degree: int = 6) -> TaylorLFunctional:
     """Correlation functionals of a density matrix on a truncated space.
 
-    Requires every cutoff to be at least the degree, so that degree-D
-    strings of ladder operators act exactly on the bulk of the state.
+    `degree` is an integer >= 0.  Requires every cutoff to be at least
+    the degree, so that degree-D strings of ladder operators act exactly
+    on the bulk of the state.
     """
+    if not isinstance(degree, (int, np.integer)) or degree < 0:
+        raise ValidationError(f"degree must be an integer >= 0: {degree!r}")
     if spec.statistics != "bose":
         raise ValidationError("functionals are defined over bosonic modes")
     if min(spec.cutoffs) < degree:
@@ -173,7 +178,7 @@ def from_density(k: DensityMatrix | np.ndarray, spec: FockSpec,
     k = k if isinstance(k, DensityMatrix) else DensityMatrix(k)
     if k.matrix.shape != (spec.dim, spec.dim):
         raise ValidationError("state dimension does not match the space")
-    return _taylor_from_operator(k.matrix, spec, degree)
+    return _taylor_from_operator(k.matrix, spec, int(degree))
 
 
 @dataclass(frozen=True)

@@ -226,24 +226,6 @@ def _fermi_pair(key_a, key_b):
         s = (s - 1) & common
 
 
-def _key_to_word(statistics: str, modes: int, key) -> tuple:
-    alpha, beta = key
-    word = []
-    if statistics == "bose":
-        for k in range(modes):
-            word.extend([(True, k)] * alpha[k])
-        for k in range(modes):
-            word.extend([(False, k)] * beta[k])
-    else:
-        for k in range(modes):
-            if alpha >> k & 1:
-                word.append((True, k))
-        for k in range(modes):
-            if beta >> k & 1:
-                word.append((False, k))
-    return tuple(word)
-
-
 def product(a: NormalOrderedPolynomial, b: NormalOrderedPolynomial,
             degree_cap: int = DEGREE_CAP) -> NormalOrderedPolynomial:
     """Exact normal-ordered product a*b."""
@@ -348,8 +330,10 @@ def represent(a: NormalOrderedPolynomial, spec: fock.FockSpec) -> np.ndarray:
     """Matrix of the polynomial on a Fock space.
 
     Each term's monomial is a ladder word, which maps every basis column to
-    one row with one weight (fock._ladder_word), so the term scatters its
-    coefficient times those weights into the matrix in O(dim).  The map is
+    one row with one weight, so the term scatters its coefficient times
+    those weights into the matrix in O(dim), in term order.  The words are
+    evaluated as stacks by fock._monomials, in blocks of at most
+    fock._WORD_BLOCK (words x dim) entries.  The map is
     a *-homomorphism exactly on the fermionic space and on the bosonic safe
     subspace.  Bosonic cutoffs must reach the polynomial's per-mode degree:
     c_k >= alpha_k + beta_k for every term.
@@ -359,21 +343,23 @@ def represent(a: NormalOrderedPolynomial, spec: fock.FockSpec) -> np.ndarray:
     if abs(spec.hbar - a.hbar) != 0:
         raise ValidationError("spec hbar differs from polynomial hbar")
     if a.statistics == "bose":
-        needed = [0] * a.modes
-        for alpha, beta in a.terms:
-            for k in range(a.modes):
-                needed[k] = max(needed[k], alpha[k] + beta[k])
+        exponents = [alpha + beta for alpha, beta in a.terms]
+        needed = [max((e[k] + e[a.modes + k] for e in exponents), default=0)
+                  for k in range(a.modes)]
         bad = [k + 1 for k in range(a.modes) if spec.cutoffs[k] < needed[k]]
         if bad:
             raise ValidationError(
                 f"cutoffs too small for polynomial degree; need at least "
                 f"{needed} per mode (modes {bad} deficient)")
+    else:
+        exponents = [[mask >> k & 1 for mask in key for k in range(a.modes)]
+                     for key in a.terms]
+    coeffs = list(a.terms.values())
     cols = np.arange(spec.dim)
     out = np.zeros((spec.dim, spec.dim), dtype=complex)
-    for key, coeff in a.terms.items():
-        rows, weights = fock._ladder_word(
-            spec, _key_to_word(a.statistics, a.modes, key))
-        out[rows, cols] += coeff * weights
+    for block, rows, weights in fock._monomials(spec, exponents):
+        for coeff, r, w in zip(coeffs[block], rows, weights):
+            out[r, cols] += coeff * w
     return out
 
 

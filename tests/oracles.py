@@ -10,7 +10,9 @@ The dense routes below build every Fock-space operator as a chain of
 dim x dim ladder-matrix products, and every GNS representative as
 basis^H kron(a, 1) basis from the d^2 x d^2 Gram eigenbasis; src replaces
 both by the ladder-word kernel and the factored carrier
-C^d (x) range(rho^T).
+C^d (x) range(rho^T).  `ladder_word_loop` evaluates a stack of ladder
+words one word at a time; src gathers every word of the stack from
+per-letter tables in one pass a letter.
 
 `propagate_linear_ode_dense` samples every node and builds every RK4 slice
 of a resolution at once before the product tree; src builds them in
@@ -26,6 +28,7 @@ products in turn; src forms every exponential before any product.
 src multiplies the last frame by the product of the overlap phases.
 """
 
+import functools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -37,7 +40,58 @@ from qtoolkit.errors import NumericalError
 from qtoolkit.evolution import _sample_matrices, _tree_product
 from qtoolkit.fock import (CommutationDefect, FockSpec, annihilation_matrix,
                            creation_matrix)
-from qtoolkit.weyl_clifford import NormalOrderedPolynomial, _key_to_word
+from qtoolkit.weyl_clifford import NormalOrderedPolynomial
+
+
+def _key_to_word(statistics: str, modes: int, key) -> tuple:
+    """The word of a normal-ordered key: (is_creation, mode) letters, the
+    creators by ascending mode, then the annihilators by ascending mode."""
+    alpha, beta = key
+    word = []
+    if statistics == "bose":
+        for k in range(modes):
+            word.extend([(True, k)] * alpha[k])
+        for k in range(modes):
+            word.extend([(False, k)] * beta[k])
+    else:
+        for k in range(modes):
+            if alpha >> k & 1:
+                word.append((True, k))
+        for k in range(modes):
+            if beta >> k & 1:
+                word.append((False, k))
+    return tuple(word)
+
+
+def ladder_word_loop(spec: FockSpec, creation, modes
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, weights) of a (words x letters) stack, one word at a time.
+
+    Each word applies its letters right to left with a few numpy calls per
+    letter, reading the occupation and the Jordan-Wigner parity of the
+    current rows, and multiplies the factors left to right.
+    """
+    occ = spec.occupations
+    out_rows, out_weights = [], []
+    for word in zip(np.asarray(creation).tolist(), np.asarray(modes).tolist()):
+        rows = np.arange(spec.dim)
+        factors = []
+        for up, k in reversed(list(zip(*word))):
+            n = occ[rows, k]
+            ok = n < spec.cutoffs[k] if up else n > 0
+            if spec.statistics == "bose":
+                factor = np.sqrt(spec.hbar * ((n + 1.0) if up else n))
+            else:
+                factor = 1.0 - 2.0 * (occ[rows, :k].sum(axis=1) % 2)
+            factors.append(np.where(ok, factor, 0.0))
+            rows = np.where(ok, rows + (1 if up else -1)
+                            * spec.strides[k], rows)
+        out_rows.append(rows)
+        out_weights.append(functools.reduce(np.multiply, factors[::-1],
+                                            np.ones(spec.dim)))
+    shape = (len(out_rows), spec.dim)
+    return (np.array(out_rows, dtype=np.intp).reshape(shape),
+            np.array(out_weights).reshape(shape))
 
 
 def _sort_parity(indices: Sequence[int]) -> tuple[tuple[int, ...], int]:

@@ -1,10 +1,13 @@
 import itertools
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qtoolkit import fock
 from qtoolkit.errors import NumericalError, ValidationError
 from qtoolkit.fock import (
     DensityMatrix,
@@ -22,8 +25,13 @@ from qtoolkit.fock import (
     quadratic_hamiltonian,
     quadratic_hamiltonian_diagonal,
 )
-from oracles import (car_defect_dense, ccr_defect_dense,
-                     quadratic_hamiltonian_chain)
+from qtoolkit.lfunctional import from_density
+from qtoolkit.weyl_clifford import poly, represent
+
+from conftest import random_density
+from oracles import (_key_to_word, car_defect_dense, ccr_defect_dense,
+                     ladder_word_loop, quadratic_hamiltonian_chain,
+                     represent_chain)
 
 
 def _bose_specs():
@@ -47,6 +55,13 @@ class TestBasisOrder:
     def test_dimensions(self):
         assert FockSpec.bose([2, 3]).dim == 12
         assert FockSpec.fermi(5).dim == 32
+
+    @pytest.mark.parametrize("hbar", [0.0, -1.0, math.inf, math.nan])
+    def test_hbar_must_be_positive_and_finite(self, hbar):
+        with pytest.raises(ValidationError, match="positive and finite"):
+            FockSpec.bose([2], hbar=hbar)
+        with pytest.raises(ValidationError, match="positive and finite"):
+            FockSpec.fermi(2, hbar=hbar)
 
 
 class TestLadders:
@@ -145,6 +160,122 @@ class TestLadderWordMatchesMatrixChains:
         eps = np.linspace(-0.7, 1.9, modes)
         assert np.array_equal(quadratic_hamiltonian(spec, eps),
                               quadratic_hamiltonian_chain(spec, eps))
+
+
+def _random_stack(rng, spec, words, length):
+    creation = rng.integers(0, 2, size=(words, length)).astype(bool)
+    modes = rng.integers(0, spec.modes, size=(words, length))
+    return creation, modes
+
+
+def _assert_bit_equal(got, want):
+    assert got[0].shape == want[0].shape
+    assert np.array_equal(got[0], want[0])
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+class TestLadderWordStack:
+    """The stack kernel against the word-by-word loop, bit for bit."""
+
+    @pytest.mark.parametrize("hbar", [0.3, 1.0, 2.5])
+    def test_bose_stacks(self, hbar):
+        rng = np.random.default_rng(int(10 * hbar))
+        zeros = 0
+        for cutoffs in [(1,), (2,), (3,), (4,), (5,), (1, 4), (5, 2),
+                        (3, 1, 2)]:
+            spec = FockSpec.bose(cutoffs, hbar=hbar)
+            tables = fock._letter_tables(spec)
+            for length in range(9):
+                creation, modes = _random_stack(rng, spec, 25, length)
+                got = fock._ladder_words(tables, creation, modes)
+                _assert_bit_equal(got, ladder_word_loop(spec, creation, modes))
+                zeros += np.count_nonzero(got[1] == 0.0)
+        assert zeros > 0  # words that pass a cutoff or hit the vacuum
+
+    @pytest.mark.parametrize("modes", range(1, 8))
+    def test_fermi_stacks(self, modes):
+        rng = np.random.default_rng(modes)
+        spec = FockSpec.fermi(modes)
+        tables = fock._letter_tables(spec)
+        for length in range(9):
+            creation, word_modes = _random_stack(rng, spec, 25, length)
+            got = fock._ladder_words(tables, creation, word_modes)
+            _assert_bit_equal(got,
+                              ladder_word_loop(spec, creation, word_modes))
+        # Pauli exclusion zeroes a^+_k a^+_k on every column
+        assert not np.any(fock._ladder_words(tables, [True, True], [0, 0])[1])
+
+    def test_stack_of_several_blocks(self):
+        rng = np.random.default_rng(3)
+        spec = FockSpec.bose((5, 4, 5), hbar=0.7)
+        exponents = rng.integers(0, 3, size=(1500, 2 * spec.modes))
+        assert len(fock._blocks(len(exponents), spec.dim)) > 3
+        rows, weights = map(np.concatenate, zip(*(
+            (r, w) for _, r, w in fock._monomials(spec, exponents))))
+        words = [_key_to_word("bose", spec.modes,
+                              (tuple(e[:spec.modes]), tuple(e[spec.modes:])))
+                 for e in exponents.tolist()]
+        want_rows, want_weights = [], []
+        for word in words:
+            r, w = ladder_word_loop(spec, [[c for c, _ in word]],
+                                    [[k for _, k in word]])
+            want_rows.append(r)
+            want_weights.append(w)
+        _assert_bit_equal((rows, weights), (np.concatenate(want_rows),
+                                            np.concatenate(want_weights)))
+
+    def test_callers_match_chains_across_small_blocks(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        spec = FockSpec.bose((4, 4), hbar=0.6)
+        rho = random_density(rng, spec.dim)
+        whole = from_density(rho, spec, degree=4).correlations
+        # a cap of a few entries splits every stack into many blocks
+        monkeypatch.setattr(fock, "_WORD_BLOCK", 40)
+        got = from_density(rho, spec, degree=4).correlations
+        assert list(got) == list(whole)
+        assert np.array(list(got.values())).tobytes() \
+            == np.array(list(whole.values())).tobytes()
+        for spec in (FockSpec.bose((3, 2, 2), hbar=0.3),
+                     FockSpec.bose((1,) * 4, hbar=2.5)):
+            assert ccr_defect(spec) == ccr_defect_dense(spec)
+            eps = np.linspace(0.3, 1.7, spec.modes)
+            assert np.array_equal(quadratic_hamiltonian(spec, eps),
+                                  quadratic_hamiltonian_chain(spec, eps))
+        p = poly("bose", 3, {((1, 0, 2), (0, 1, 0)): 0.5 - 1j,
+                             ((0, 0, 0), (0, 0, 0)): 2.0,
+                             ((0, 1, 0), (1, 0, 1)): -0.25j}, hbar=0.3)
+        spec = FockSpec.bose((3, 2, 3), hbar=0.3)
+        assert np.array_equal(represent(p, spec), represent_chain(p, spec))
+        for modes in (3, 5):
+            spec = FockSpec.fermi(modes)
+            assert car_defect(spec) == car_defect_dense(spec)
+            p = poly("fermi", modes, {(3, 1): 1.5, (0, 0): -1j, (5, 6): 0.25})
+            assert np.array_equal(represent(p, spec), represent_chain(p, spec))
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_defect_memory_is_bounded_by_the_block_cap():
+    # one block of words is a few (words x dim) arrays of _WORD_BLOCK
+    # entries; the letter tables and occupations add O(modes dim)
+    def bound(spec):
+        return 8 * (12 * fock._WORD_BLOCK + 8 * spec.modes * spec.dim)
+
+    cases = [(car_defect, FockSpec.fermi(12)),
+             (ccr_defect, FockSpec.bose((10, 10, 10))),
+             (ccr_defect, FockSpec.bose((1,) * 12))]
+    for defect, spec in cases:
+        peak = _traced_peak(lambda: defect(spec))
+        # all 144 mode pairs of the 12-mode specs at once would take
+        # 144 x 4 x 4096 (car) or 144 x 2 x 4096 (ccr) entries per array
+        assert peak <= bound(spec), (spec, peak, bound(spec))
 
 
 class TestNumberAndHamiltonian:
@@ -264,6 +395,40 @@ class TestPoissonVectors:
         assert [r["norm_sq"] for r in rows] == pytest.approx(
             [math.e, math.e ** 2, math.e ** 4, math.e ** 8]
         )
+
+    def test_overlap_requires_one_entry_per_mode(self):
+        spec = FockSpec.bose([4, 4, 4])
+        for f, g in (([0.5], [0.1, 0.2, 0.3]), ([0.1, 0.2, 0.3], [0.5]),
+                     ([0.1, 0.2], [0.1, 0.2]), ([[0.1, 0.2, 0.3]], [0.1] * 3)):
+            with pytest.raises(ValidationError, match="mode count"):
+                poisson_overlap(spec, f, g)
+
+    def test_overlap_beyond_double_range_raises(self):
+        spec = FockSpec.bose([4])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError):
+                poisson_overlap(spec, [30.0], [30.0 + 1j])
+            with pytest.raises(NumericalError):
+                poisson_overlap(spec, [1e200], [1e200])
+            # still finite just below the exp overflow threshold
+            assert math.isfinite(abs(poisson_overlap(spec, [26.0], [27.0])))
+
+    @pytest.mark.parametrize("hbar", [0.0, -1.0, math.inf, math.nan])
+    def test_norm_divergence_rejects_bad_hbar(self, hbar):
+        with pytest.raises(ValidationError, match="positive and finite"):
+            norm_divergence_demo([1.0, 0.5], [1, 2], hbar=hbar)
+
+    def test_norm_divergence_overflow_raises(self):
+        for f in ([1e3], [1e200], [20.0] * 3):
+            with pytest.raises(NumericalError, match="double range"):
+                norm_divergence_demo(f, [len(f)])
+        with pytest.raises(ValidationError, match="non-finite"):
+            norm_divergence_demo([math.nan], [1])
+        # the largest finite row still passes
+        rows = norm_divergence_demo([26.0, 0.5], [0, 1, 2], hbar=1.0)
+        assert rows[0]["norm_sq"] == 1.0
+        assert rows[2]["norm_sq"] == math.exp(676.25)
 
     def test_norm_divergence_zeta_limit(self):
         f = [1.0 / k for k in range(1, 4001)]

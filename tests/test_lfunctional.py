@@ -19,7 +19,7 @@ from qtoolkit.lfunctional import _reference_state, _taylor_from_operator
 from qtoolkit.weyl_clifford import poly
 
 from conftest import random_density
-from oracles import correlations_chain
+from oracles import _key_to_word, correlations_chain, ladder_word_loop
 
 
 def normalized_coherent(spec, lam):
@@ -53,6 +53,21 @@ class TestClosedForms:
         want = correlations_chain(rho, spec, got)
         scale = max(abs(v) for v in want.values())
         assert max(abs(got[k] - v) for k, v in want.items()) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("degree,cut", [(4, 4), (5, 5), (6, 6), (7, 7),
+                                            (8, 9)])
+    def test_from_density_bit_equal_to_per_key_route(self, rng, degree, cut):
+        # each key's trace from its own word, as one dot product a key
+        spec = FockSpec.bose((cut, cut), hbar=0.5 + 0.2 * degree)
+        rho = random_density(rng, spec.dim)
+        got = from_density(rho, spec, degree).correlations
+        cols = np.arange(spec.dim)
+        for key, value in got.items():
+            word = _key_to_word("bose", spec.modes, key)
+            rows, weights = ladder_word_loop(spec, [[c for c, _ in word]],
+                                             [[k for _, k in word]])
+            want = complex(weights[0] @ rho[cols, rows[0]])
+            assert np.array([value]).tobytes() == np.array([want]).tobytes()
 
     def test_coherent_evaluation_matches_exponential(self):
         lam = 0.4 + 0.1j
@@ -104,6 +119,12 @@ class TestClosedForms:
             from_density(state, FockSpec.fermi(2), degree=1)
         with pytest.raises(ValidationError):
             from_density(state, FockSpec.bose((7,)), degree=3)
+        for degree in (-1, 2.5, 2.0, "2", None):
+            with pytest.raises(ValidationError, match="integer >= 0"):
+                from_density(state, spec, degree=degree)
+        assert type(from_density(state, spec, np.int64(2)).degree) is int
+        zero = from_density(state, spec, degree=0).correlations
+        assert zero == {((0,), (0,)): pytest.approx(1.0, abs=1e-15)}
 
 
 class TestGaussianContainer:
