@@ -194,17 +194,14 @@ class _PhaseTable:
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
         if self.constant is not None:
             return np.repeat(self.constant[:, None], len(lam), axis=1)
-        diff = lam[None, :] - self.nodes[:, None]
-        hit = np.abs(diff) < 1e-14
-        diff = np.where(hit, 1.0, diff)
-        w = self.weights[:, None] / diff
-        numer = self.values @ w
-        denom = w.sum(axis=0)
-        out = numer / denom
-        if hit.any():
-            idx = np.argmax(hit, axis=0)
-            exact = hit.any(axis=0)
-            out[:, exact] = self.values[:, idx[exact]]
+        w = lam[None, :] - self.nodes[:, None]
+        hit = np.abs(w) < 1e-14
+        w[hit] = 1.0
+        np.divide(self.weights[:, None], w, out=w)
+        out = self.values @ w
+        out /= w.sum(axis=0)
+        exact = hit.any(axis=0)
+        out[:, exact] = self.values[:, hit.argmax(axis=0)[exact]]
         return out
 
 

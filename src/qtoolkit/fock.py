@@ -467,6 +467,8 @@ def _poisson_coefficients(f: complex, hbar: float, cutoff: int) -> np.ndarray:
 
 def poisson_overlap(spec: FockSpec, f: Sequence[complex], g: Sequence[complex]) -> complex:
     """Closed form <Theta_f, Theta_g> = exp(sum f_k conj(g_k) / hbar)."""
+    if spec.statistics != "bose":
+        raise ValidationError("poisson vectors require a bosonic spec")
     f = np.asarray(f, dtype=complex)
     g = np.asarray(g, dtype=complex)
     if f.shape != (spec.modes,) or g.shape != (spec.modes,):

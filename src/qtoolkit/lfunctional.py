@@ -76,6 +76,12 @@ def _all_keys(modes: int, degree: int):
     return keys
 
 
+def _check_degree(degree) -> int:
+    if not isinstance(degree, (int, np.integer)) or degree < 0:
+        raise ValidationError(f"degree must be an integer >= 0: {degree!r}")
+    return int(degree)
+
+
 def _factorial_multi(idx: Sequence[int]) -> float:
     out = 1.0
     for k in idx:
@@ -98,6 +104,7 @@ class TaylorLFunctional:
     correlations: Mapping[tuple, complex]
 
     def __post_init__(self):
+        _check_degree(self.degree)
         for (beta, gamma) in self.correlations:
             if len(beta) != self.modes or len(gamma) != self.modes:
                 raise ValidationError("multi-index length must equal modes")
@@ -168,8 +175,7 @@ def from_density(k: DensityMatrix | np.ndarray, spec: FockSpec,
     the degree, so that degree-D strings of ladder operators act exactly
     on the bulk of the state.
     """
-    if not isinstance(degree, (int, np.integer)) or degree < 0:
-        raise ValidationError(f"degree must be an integer >= 0: {degree!r}")
+    degree = _check_degree(degree)
     if spec.statistics != "bose":
         raise ValidationError("functionals are defined over bosonic modes")
     if min(spec.cutoffs) < degree:
@@ -178,7 +184,7 @@ def from_density(k: DensityMatrix | np.ndarray, spec: FockSpec,
     k = k if isinstance(k, DensityMatrix) else DensityMatrix(k)
     if k.matrix.shape != (spec.dim, spec.dim):
         raise ValidationError("state dimension does not match the space")
-    return _taylor_from_operator(k.matrix, spec, int(degree))
+    return _taylor_from_operator(k.matrix, spec, degree)
 
 
 @dataclass(frozen=True)
@@ -225,6 +231,7 @@ class GaussianLFunctional:
 
     def to_taylor(self, degree: int, hbar: float = 1.0) -> TaylorLFunctional:
         """Expand the exponential into correlation coefficients."""
+        degree = _check_degree(degree)
         # polynomial in (alpha, alpha*): keys (beta, gamma) as exponents
         base: dict[tuple, complex] = {}
         m = self.modes
@@ -654,11 +661,11 @@ def _lattice_rhs(l: np.ndarray, shifts: list, kernel_values: list
     out = np.zeros_like(l)
     for (dq, dp), kernel in zip(shifts, kernel_values):
         moved = np.zeros_like(l)
-        src_q = slice(max(dq, 0), l.shape[0] + min(dq, 0))
-        dst_q = slice(max(-dq, 0), l.shape[0] + min(-dq, 0))
-        src_p = slice(max(dp, 0), l.shape[1] + min(dp, 0))
-        dst_p = slice(max(-dp, 0), l.shape[1] + min(-dp, 0))
-        moved[dst_q, dst_p] = l[src_q, src_p]
+        src_q = slice(max(dq, 0), l.shape[-2] + min(dq, 0))
+        dst_q = slice(max(-dq, 0), l.shape[-2] + min(-dq, 0))
+        src_p = slice(max(dp, 0), l.shape[-1] + min(dp, 0))
+        dst_p = slice(max(-dp, 0), l.shape[-1] + min(-dp, 0))
+        moved[..., dst_q, dst_p] = l[..., src_q, src_p]
         out -= kernel * moved
     return out
 
@@ -674,13 +681,16 @@ def hbar_sweep(hbars: Sequence[float] = (1e-1, 1e-2, 1e-3), t: float = 1.0,
     (2/hbar) sin(hbar/2 sigma(alpha, beta)).  Replacing the kernel by its
     limit sigma(alpha, beta) defines the classical flow; the maximal
     difference at time t scales as hbar^2, and the measured log-log slope
-    is returned.
+    is returned.  The classical flow and the hbar flows, stacked on a
+    leading axis, take one RK4 run with the arithmetic of separate runs.
     """
     from .evolution import rk4_fixed
 
     hbars = tuple(float(h) for h in hbars)
-    if any(h <= 0 for h in hbars) or len(set(hbars)) < 2:
-        raise ValidationError("need at least two distinct positive hbar values")
+    if not (all(0 < x < math.inf for x in hbars + (spacing, extent))
+            and len(set(hbars)) >= 2 and math.isfinite(t)):
+        raise ValidationError("need two distinct finite hbars > 0, a finite "
+                              "t, and finite spacing and extent > 0")
     coords = np.arange(-extent, extent + spacing / 2, spacing)
     aq = coords[:, None]
     ap = coords[None, :]
@@ -691,18 +701,12 @@ def hbar_sweep(hbars: Sequence[float] = (1e-1, 1e-2, 1e-3), t: float = 1.0,
     # symplectic products sigma(alpha, beta) for beta = shift * spacing
     sigmas = [aq * (dp * spacing) - ap * (dq * spacing)
               for (dq, dp) in shifts]
-
-    def run(kernels):
-        def rhs(s, l):
-            return _lattice_rhs(l, shifts, kernels)
-        return rk4_fixed(rhs, l0, 0.0, t, steps)
-
-    classical = run([w * s for w, s in zip(weights, sigmas)])
-    gaps = []
-    for hb in hbars:
-        quantum = run([w * (2.0 / hb) * np.sin(0.5 * hb * s)
-                       for w, s in zip(weights, sigmas)])
-        gaps.append(float(np.abs(quantum - classical).max()))
+    kernels = [np.stack([w * s] + [w * (2.0 / hb) * np.sin(0.5 * hb * s)
+                                   for hb in hbars])
+               for w, s in zip(weights, sigmas)]
+    flows = rk4_fixed(lambda s, l: _lattice_rhs(l, shifts, kernels),
+                      np.broadcast_to(l0, kernels[0].shape), 0.0, t, steps)
+    gaps = [float(np.abs(quantum - flows[0]).max()) for quantum in flows[1:]]
     slope = float(np.polyfit(np.log(hbars), np.log(gaps), 1)[0])
     return HbarSweepResult(hbars=hbars, gaps=tuple(gaps), slope=slope,
                            spacing=spacing, extent=extent)
@@ -742,7 +746,11 @@ class GreenResult:
 
 def _phase_trace(weights: np.ndarray, freqs: np.ndarray, taus: np.ndarray
                  ) -> np.ndarray:
-    return np.exp(1j * np.outer(taus, freqs)) @ weights
+    # np.take copies the columns back C-ordered, so numpy calls the zgemv
+    # of the full exponential; a fancy index is F-ordered and moves bits
+    distinct, where = np.unique(freqs, return_inverse=True)
+    table = np.exp(1j * np.outer(taus, distinct))
+    return np.take(table, where, axis=1) @ weights
 
 
 def _fit_pole(taus: np.ndarray, samples: np.ndarray) -> tuple:
@@ -780,7 +788,8 @@ def two_point_green(n_profile: Sequence[float], eps_profile: Sequence[float],
     cutoff chosen so the neglected tail is below 1e-15 (an occupation that
     needs a cutoff above GREEN_CUTOFF_MAX is rejected); the time
     dependence comes from eigenphase sums of actual ladder matrices, not
-    from a closed form.  The pole of g_less is then located from the
+    from a closed form, exponentiating each distinct eigenfrequency once
+    (708 weights share 10 at n = 20).  The pole of g_less is located from the
     discrete Fourier transform of the samples with parabolic refinement
     and must land within one frequency bin of the true eps.
     """
@@ -815,10 +824,7 @@ def two_point_green(n_profile: Sequence[float], eps_profile: Sequence[float],
         raise ValidationError(
             f"occupation {n!r} needs a cutoff above {GREEN_CUTOFF_MAX}")
     spec = FockSpec(statistics="bose", cutoffs=(cutoff,), hbar=hbar)
-    probs = (1.0 - w) * w ** np.arange(cutoff + 1) if w > 0 else None
-    if probs is None:
-        probs = np.zeros(cutoff + 1)
-        probs[0] = 1.0
+    probs = (1.0 - w) * w ** np.arange(cutoff + 1)  # [1, 0, ...] at w = 0
     probs = probs / probs.sum()
     k_mat = np.diag(probs).astype(complex)
 
@@ -827,19 +833,14 @@ def two_point_green(n_profile: Sequence[float], eps_profile: Sequence[float],
     energies = eps * hbar * np.arange(cutoff + 1)
     freq_matrix = np.subtract.outer(energies, energies) / hbar
 
-    w_less = adag * (a @ k_mat).T
-    w_greater = a * (adag @ k_mat).T
-    idx_less = np.nonzero(np.abs(w_less) > 0)
-    idx_greater = np.nonzero(np.abs(w_greater) > 0)
+    def sampled(weight, sign_scale):
+        idx = np.nonzero(np.abs(weight) > 0)
+        trace = [sign_scale * _phase_trace(weight[idx], freq_matrix[idx], at)
+                 for at in (taus, np.zeros(1))]
+        return trace[0], complex(trace[1][0])
 
-    def sampled(weight, idx, sign_scale, at):
-        return sign_scale * _phase_trace(weight[idx], freq_matrix[idx], at)
-
-    g_less = sampled(w_less, idx_less, 1.0 / hbar, taus)
-    g_greater = sampled(w_greater, idx_greater, 1.0, taus)
-    zero = np.array([0.0])
-    g_less_zero = complex(sampled(w_less, idx_less, 1.0 / hbar, zero)[0])
-    g_greater_zero = complex(sampled(w_greater, idx_greater, 1.0, zero)[0])
+    g_less, g_less_zero = sampled(adag * (a @ k_mat).T, 1.0 / hbar)
+    g_greater, g_greater_zero = sampled(a * (adag @ k_mat).T, 1.0)
 
     if np.abs(g_less).max() == 0:
         pole, res = float("nan"), 2.0 * np.pi / (len(taus) * float(dtaus[0]))

@@ -26,6 +26,13 @@ exponentiates the strict upper triangle and fills the rest by conjugation.
 products in turn; src forms every exponential before any product.
 `continued_end_frame` phase-aligns the eigenframes one step at a time;
 src multiplies the last frame by the product of the overlap phases.
+
+`phase_trace_dense` exponentiates every (tau, frequency) entry of a Green
+function; src exponentiates each distinct frequency once and gathers the
+columns.  `hbar_sweep_loop` integrates the classical lattice flow and each
+hbar flow by an RK4 run of its own; src stacks them in one run.
+`phase_table_eval` is the barycentric formula of the decoherence phase
+table with a fresh temporary per step; src reuses one buffer.
 """
 
 import functools
@@ -430,3 +437,56 @@ def continued_end_frame(vecs: np.ndarray) -> np.ndarray:
         ov = np.sum(prev.conj() * cur, axis=0)
         prev = cur * (ov.conj() / np.abs(ov))
     return prev
+
+
+def phase_trace_dense(weights: np.ndarray, freqs: np.ndarray,
+                      taus: np.ndarray) -> np.ndarray:
+    """sum_j weights[j] exp(i taus freqs[j]), every entry exponentiated."""
+    return np.exp(1j * np.outer(taus, freqs)) @ weights
+
+
+def hbar_sweep_loop(hbars, t: float = 1.0, steps: int = 64,
+                    spacing: float = 0.5, extent: float = 6.0):
+    """The classical lattice flow, one flow per hbar (one RK4 run each)
+    and the gaps max |quantum - classical| of `lfunctional.hbar_sweep`."""
+    from qtoolkit.evolution import rk4_fixed
+    from qtoolkit.lfunctional import _lattice_rhs
+
+    coords = np.arange(-extent, extent + spacing / 2, spacing)
+    aq = coords[:, None]
+    ap = coords[None, :]
+    l0 = np.exp(-0.35 * (aq ** 2 + ap ** 2)).astype(complex)
+    shifts = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+    weights = [0.3, 0.3, 0.2, 0.2]
+    sigmas = [aq * (dp * spacing) - ap * (dq * spacing)
+              for (dq, dp) in shifts]
+
+    def run(kernels):
+        return rk4_fixed(lambda s, l: _lattice_rhs(l, shifts, kernels), l0,
+                         0.0, t, steps)
+
+    classical = run([w * s for w, s in zip(weights, sigmas)])
+    quantum = [run([w * (2.0 / hb) * np.sin(0.5 * hb * s)
+                    for w, s in zip(weights, sigmas)]) for hb in hbars]
+    gaps = [float(np.abs(q - classical).max()) for q in quantum]
+    return classical, quantum, gaps
+
+
+def phase_table_eval(table, lam) -> np.ndarray:
+    """Phases of a `decoherence._PhaseTable` at lam, shape (levels,
+    len(lam)), each step of the barycentric formula in a new array."""
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    if table.constant is not None:
+        return np.repeat(table.constant[:, None], len(lam), axis=1)
+    diff = lam[None, :] - table.nodes[:, None]
+    hit = np.abs(diff) < 1e-14
+    diff = np.where(hit, 1.0, diff)
+    w = table.weights[:, None] / diff
+    numer = table.values @ w
+    denom = w.sum(axis=0)
+    out = numer / denom
+    if hit.any():
+        idx = np.argmax(hit, axis=0)
+        exact = hit.any(axis=0)
+        out[:, exact] = table.values[:, idx[exact]]
+    return out

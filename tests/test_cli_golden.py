@@ -73,6 +73,14 @@ ARGVS = [
     ["decohere", "sweep", "--trials", "100001", "--threads", "2"],
     ["gns", "construct", "--rho", _MIXED_RHO, "--h", _MIXED_H],
     ["evolve", "trotter", "--cutoff", "40"],
+    # Green samples at a large occupation (the csv rows print every
+    # sample); four hbars at an odd step count
+    ["lfunc", "green", "--n", "20", "--eps", "1.37", "--hbar", "2.2",
+     "--window", "300", "--dt", "0.03"],
+    ["lfunc", "green", "--n", "20", "--eps", "1.37", "--hbar", "2.2",
+     "--window", "12", "--dt", "0.03", "--format", "csv"],
+    ["lfunc", "sweep", "--hbars", "0.3,0.05,0.01,1e-4", "--t", "0.93",
+     "--steps", "33"],
 ]
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import random_density
-from oracles import phase_sums_full
+from oracles import phase_sums_full, phase_table_eval
 from qtoolkit import decoherence
 from qtoolkit.decoherence import (
     BornReport,
@@ -168,6 +168,39 @@ def test_phase_sums_equal_full_route():
         phases = rng.normal(size=(d, trials)) * rng.uniform(0.1, 1e3)
         got = decoherence._phase_sums(phases)
         assert got.tobytes() == phase_sums_full(phases).tobytes()
+
+
+def sine_drive(d, freq):
+    """Levels 3k + sin(freq lam g / (k + 1)): the phase table needs 33, 65
+    or 129 nodes at freq 1, 60 or 150 on lam in [-0.3, 0.3]."""
+    def family(lam, g):
+        g = np.asarray(g, dtype=float)
+        out = np.zeros(g.shape + (d, d), dtype=complex)
+        for k in range(d):
+            out[..., k, k] = 3 * k + np.sin(freq * lam * g / (k + 1))
+        return out
+    return family
+
+
+@pytest.mark.parametrize("d, freq, nodes", [
+    (1, 1, 33), (3, 1, 33), (1, 60, 65), (3, 60, 65), (1, 150, 129)])
+def test_phase_table_equals_fresh_temporaries(d, freq, nodes):
+    ens = make_ensemble(family=sine_drive(d, freq), alpha=0.05)
+    table = decoherence._PhaseTable(ens, -0.3, 0.3)
+    assert len(table.nodes) == nodes
+    rng = np.random.default_rng(np.random.Philox(10 * d + nodes))
+    for size in (1, 2, 7, 129, 1000, 4097):
+        lam = rng.uniform(-0.3, 0.3, size)
+        # exact node hits, and hits within the 1e-14 snap
+        picks = rng.integers(0, nodes, size)
+        lam[::3] = table.nodes[picks[::3]]
+        lam[1::5] = table.nodes[picks[1::5]] + 5e-15
+        got = table(lam)
+        assert got.tobytes() == phase_table_eval(table, lam).tobytes()
+    lam = table.nodes[::-1].copy()
+    assert table(lam).tobytes() == table.values[:, ::-1].tobytes()
+    flat = decoherence._PhaseTable(ens, 0.1, 0.1)
+    assert flat(lam).tobytes() == phase_table_eval(flat, lam).tobytes()
 
 
 def level_drive(d, rng):

@@ -388,6 +388,8 @@ class TestPoissonVectors:
     def test_fermionic_rejected(self):
         with pytest.raises(ValidationError):
             poisson_vector(FockSpec.fermi(2), [0.1, 0.2])
+        with pytest.raises(ValidationError, match="bosonic"):
+            poisson_overlap(FockSpec.fermi(2), [1, 2], [1, 2])
 
     def test_norm_divergence_rows(self):
         f = [1.0] * 8

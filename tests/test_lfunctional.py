@@ -1,10 +1,13 @@
 """Correlation-functional layer: closed forms, doubled operators, evolution,
 lattice hbar sweep, Green functions, and Fourier asymptotics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from qtoolkit import evolution, lfunctional
 from qtoolkit.errors import ValidationError
 from qtoolkit.fock import (DensityMatrix, FockSpec, annihilation_matrix,
                            creation_matrix, poisson_vector)
@@ -19,7 +22,8 @@ from qtoolkit.lfunctional import _reference_state, _taylor_from_operator
 from qtoolkit.weyl_clifford import poly
 
 from conftest import random_density
-from oracles import _key_to_word, correlations_chain, ladder_word_loop
+from oracles import (_key_to_word, correlations_chain, hbar_sweep_loop,
+                     ladder_word_loop, phase_trace_dense)
 
 
 def normalized_coherent(spec, lam):
@@ -125,6 +129,18 @@ class TestClosedForms:
         assert type(from_density(state, spec, np.int64(2)).degree) is int
         zero = from_density(state, spec, degree=0).correlations
         assert zero == {((0,), (0,)): pytest.approx(1.0, abs=1e-15)}
+
+    def test_every_route_requires_an_integer_degree(self):
+        routes = (lambda d: coherent_lfunctional([0.3 - 0.1j], degree=d),
+                  lambda d: thermal_lfunctional([0.4], degree=d),
+                  lambda d: GaussianLFunctional(modes=1).to_taylor(d),
+                  lambda d: TaylorLFunctional(modes=1, degree=d, hbar=1.0,
+                                              correlations={}))
+        for route in routes:
+            for degree in (2.5, -2, -1, "2"):
+                with pytest.raises(ValidationError, match="integer >= 0"):
+                    route(degree)
+            assert route(np.int64(0)).degree == 0
 
 
 class TestGaussianContainer:
@@ -289,6 +305,37 @@ class TestHbarSweep:
         with pytest.raises(ValidationError):
             hbar_sweep(hbars=(0.1, -0.2))
 
+    def test_rejects_non_finite_and_empty_lattices(self, capfd):
+        nan, inf = float("nan"), float("inf")
+        for kw in (dict(hbars=(nan, 0.1)), dict(hbars=(0.1, inf)),
+                   dict(t=nan), dict(t=-inf), dict(spacing=nan),
+                   dict(spacing=0.0), dict(spacing=-0.5), dict(extent=inf),
+                   dict(extent=-1.0)):
+            with pytest.raises(ValidationError):
+                hbar_sweep(**kw)
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("hbars, t, steps, lattice", [
+        ((0.3, 0.05), 1.0, 33, {}),
+        ((1e-1, 1e-2, 1e-3), 0.93, 64, {}),
+        ((0.3, 0.05, 0.01, 1e-4), 0.93, 33, {}),
+        ((2.0, 0.4, 0.04, 1.0), -0.7, 64, dict(spacing=0.37, extent=3.3)),
+    ])
+    def test_stacked_flows_equal_one_run_per_hbar(self, monkeypatch, hbars,
+                                                  t, steps, lattice):
+        classical, quantum, gaps = hbar_sweep_loop(hbars, t, steps,
+                                                   **lattice)
+        runs = []
+        rk4 = evolution.rk4_fixed
+        monkeypatch.setattr(evolution, "rk4_fixed",
+                            lambda *args: runs.append(rk4(*args)) or runs[-1])
+        result = hbar_sweep(hbars=hbars, t=t, steps=steps, **lattice)
+        [flows] = runs
+        # bytes, so signed zeros count
+        assert [f.tobytes() for f in flows] == [
+            f.tobytes() for f in [classical] + quantum]
+        assert repr(result.gaps) == repr(tuple(gaps))
+
 
 class TestTwoPointGreen:
     def test_closed_forms_from_ladder_oracle(self):
@@ -333,6 +380,37 @@ class TestTwoPointGreen:
         assert np.abs(res.g_greater - np.exp(-1j * 0.8 * taus)).max() <= 1e-12
         with pytest.raises(Exception):
             res.kms_ratio()
+
+    @pytest.mark.parametrize("hbar", [0.3, 1.0, 2.2])
+    @pytest.mark.parametrize("n", [0.0, 0.2, 1.0, 20.0])
+    def test_distinct_frequencies_equal_dense_route(self, monkeypatch, n,
+                                                    hbar):
+        rng = np.random.default_rng(np.random.Philox(int(100 * n + hbar)))
+        for _ in range(3):
+            taus = np.arange(2 * int(rng.integers(4, 800)) + 1) * float(
+                rng.uniform(0.01, 0.2))
+            args = ([0.5, n], [1.1, float(rng.uniform(-2.0, 2.0))], taus)
+            got = two_point_green(*args, mode=2, hbar=hbar)
+            with monkeypatch.context() as m:
+                m.setattr(lfunctional, "_phase_trace", phase_trace_dense)
+                want = two_point_green(*args, mode=2, hbar=hbar)
+            for field in dataclasses.fields(GreenResult):
+                assert (np.asarray(getattr(got, field.name)).tobytes()
+                        == np.asarray(getattr(want, field.name)).tobytes()
+                        ), field.name
+
+    def test_phase_trace_equals_dense_route_on_repeated_frequencies(self):
+        # np.unique merges 0.0 and -0.0; their exponentials agree, since
+        # 1j * x has imaginary part +0.0 for either zero
+        rng = np.random.default_rng(np.random.Philox(31))
+        values = np.array([0.0, -0.0, 1.5, -1.5, 0.7, 1e-300])
+        for size in (1, 2, 9, 63):
+            freqs = values[rng.integers(0, len(values), size)]
+            weights = rng.normal(size=size) + 1j * rng.normal(size=size)
+            taus = np.concatenate([[0.0, -0.0], rng.normal(size=37) * 50])
+            got = lfunctional._phase_trace(weights, freqs, taus)
+            want = phase_trace_dense(weights, freqs, taus)
+            assert got.tobytes() == want.tobytes()
 
     def test_window_and_grid_validation(self):
         good = np.arange(0.0, 20.0, 0.1)
