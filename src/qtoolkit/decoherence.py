@@ -28,8 +28,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .evolution import _simpson_eigen_traces
-from .fock import DensityMatrix, _hermitian
+from .evolution import _gapped_family
+from .fock import DensityMatrix, _hermitian, _require_positive
 
 __all__ = [
     "PerturbationEnsemble",
@@ -78,8 +78,8 @@ class PerturbationEnsemble:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValidationError("alpha must be positive")
+        _require_positive(self.alpha, "alpha")
+        _require_positive(self.hbar, "hbar")
         if self.trials < 1:
             raise ValidationError("trials must be >= 1")
         if self.lam_samples is not None:
@@ -124,17 +124,10 @@ class PerturbationEnsemble:
 
 def _level_integrals(ensemble: PerturbationEnsemble, lam: float,
                      gap_threshold: float = 1e-8) -> np.ndarray:
-    """Vector of integral_0^1 E_n(lam, g(s)) ds over sorted levels."""
-    dim = ensemble.dim
-
-    def h_of_s(s):
-        return ensemble.family(lam, ensemble.path(s))
-
-    integrals, min_gap = _simpson_eigen_traces(h_of_s, dim)
-    if dim > 1 and min_gap < gap_threshold:
-        raise NumericalError(
-            f"eigenvalue crossing along the path at lam = {lam}: "
-            f"gap {min_gap:.3e}")
+    """integral_0^1 E_n(lam, g(s)) ds over sorted levels of hermitian H."""
+    _, integrals, _ = _gapped_family(
+        lambda s: ensemble.family(lam, ensemble.path(s)), ensemble.dim,
+        gap_threshold, f" at lam = {lam}")
     return integrals
 
 
@@ -233,20 +226,27 @@ class BornReport:
             raise NumericalError("Born probabilities do not sum to 1")
 
 
-def _phase_sums(phases: np.ndarray) -> np.ndarray:
+def _phase_sums(phases: np.ndarray, weights: np.ndarray | None = None
+                ) -> np.ndarray:
     """Sums over trials of exp(-i (phases[m] - phases[n])) for each (m, n).
 
-    phases has shape (levels, trials).  Only the strict upper triangle is
+    phases has shape (levels, trials); optional real weights, one per
+    trial, multiply each trial's terms.  Only the strict upper triangle is
     exponentiated: the (n, m) term of a trial is the exact complex
     conjugate of its (m, n) term and each diagonal term is 1, so the lower
     triangle is the conjugate of the upper one and the diagonal is the
-    trial count.
+    trial count (the weight sum).
     """
     levels, trials = phases.shape
     upper = np.triu_indices(levels, 1)
-    sums = np.diag(np.full(levels, trials, dtype=complex))
-    sums[upper] = np.exp(-1j * (phases[upper[0]] - phases[upper[1]])).sum(
-        axis=1)
+    terms = np.exp(-1j * (phases[upper[0]] - phases[upper[1]]))
+    # the weights sum as complex numbers, as the terms do: a real sum of
+    # the same weights can differ in the last bits
+    total = trials if weights is None else weights.astype(complex).sum()
+    if weights is not None:
+        terms = terms * weights
+    sums = np.diag(np.full(levels, total, dtype=complex))
+    sums[upper] = terms.sum(axis=1)
     sums[upper[::-1]] = sums[upper].conj()
     return sums
 
@@ -324,18 +324,14 @@ def average_density(ensemble: PerturbationEnsemble,
 
     # quadrature estimate of the phase average
     if ensemble.lam_samples is not None:
-        phases = table(np.asarray(ensemble.lam_samples))
-        factors = np.exp(-1j * (phases[:, None, :] - phases[None, :, :]))
-        quad = factors.mean(axis=2)
+        quad = (_phase_sums(table(np.asarray(ensemble.lam_samples)))
+                / len(ensemble.lam_samples))
     elif hi == lo:
-        phases = table(np.array([lo]))
-        quad = np.exp(-1j * (phases[:, None, 0] - phases[None, :, 0]))
+        quad = _phase_sums(table(np.array([lo])))
     else:
         x, w = np.polynomial.legendre.leggauss(quad_nodes)
         lam = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
-        phases = table(lam)
-        factors = np.exp(-1j * (phases[:, None, :] - phases[None, :, :]))
-        quad = (factors * (0.5 * w)).sum(axis=2)
+        quad = _phase_sums(table(lam), 0.5 * w)
 
     mc, stderr = _mc_average(table, ensemble, threads)
     gap = np.abs(mc - quad)

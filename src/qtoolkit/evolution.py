@@ -32,7 +32,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .fock import _hermitian, _require_finite
+from .fock import _hermitian, _require_finite, _require_positive
 
 __all__ = [
     "EvolutionProblem",
@@ -105,7 +105,8 @@ def heisenberg(a: np.ndarray, h: np.ndarray, t: float,
 def _trotter_factors(factors: Sequence[np.ndarray], t: float,
                      n_values: Sequence[int]) -> list[np.ndarray]:
     """The factors as finite complex matrices of one square shape, after
-    checking that t is finite and every slice count is >= 1."""
+    checking that t is finite, every slice count is >= 1, and t times the
+    factors and their sum stays in double range."""
     if not np.isfinite(t):
         raise ValidationError("time t must be finite")
     if any(not n >= 1 for n in n_values):
@@ -117,6 +118,10 @@ def _trotter_factors(factors: Sequence[np.ndarray], t: float,
     for m in mats:
         if m.shape != (dim, dim):
             raise ValidationError("factors must share one square dimension")
+    with np.errstate(over="ignore"):
+        bound = abs(t) * sum(float(np.abs(m).max()) for m in mats)
+    if not math.isfinite(bound):
+        raise NumericalError("t times the factors overflows double range")
     return mats
 
 
@@ -203,8 +208,8 @@ class SymbolGrid:
     def __post_init__(self):
         if self.n < 2:
             raise ValidationError("grid needs at least two points")
-        if not (self.dq > 0 and self.hbar > 0):
-            raise ValidationError("dq and hbar must be positive")
+        _require_positive(self.dq, "dq")
+        _require_positive(self.hbar, "hbar")
 
     @property
     def dp(self) -> float:
@@ -547,6 +552,31 @@ def _simpson_eigen_traces(h_of_s: Callable, dim: int, tol: float = 1e-12,
         level += 1
 
 
+def _gapped_family(fn: Callable, dim: int, gap_threshold: float,
+                   where: str = "") -> tuple[Callable, np.ndarray, float]:
+    """(h_of_s, integrals, min_gap) of the path family fn.
+
+    h_of_s evaluates fn on an array of points as a stack of dim x dim
+    matrices, each held to the hermitian input rule (exactly hermitian
+    values pass bit for bit); the integrals and minimum gap are those of
+    _simpson_eigen_traces, and a gap below gap_threshold raises
+    NumericalError.
+    """
+
+    def h_of_s(s):
+        hs = _sample_matrices(fn, np.atleast_1d(s), dim)
+        if hs.shape[1:] != (dim, dim):
+            raise ValidationError("family values must share one dimension")
+        return _hermitian(hs, "family value", stacked=True)
+
+    integrals, min_gap = _simpson_eigen_traces(h_of_s, dim)
+    if dim > 1 and min_gap < gap_threshold:
+        raise NumericalError(
+            f"spectral gap {min_gap:.3e} fell below {gap_threshold:.1e} "
+            f"along the path{where}")
+    return h_of_s, integrals, min_gap
+
+
 def _continued_basis(h_of_s: Callable, dim: int, points: int = 1025
                      ) -> tuple[np.ndarray, np.ndarray, float]:
     """Eigenbases at s=0 and s=1 with phases continued along the path.
@@ -609,24 +639,11 @@ def adiabatic_evolve(family: Callable, path: Callable, alpha: float,
     at 16 steps and doubling until two resolutions agree to tol in max
     norm; `steps` of the result counts the Magnus steps of the last one.
     """
-    if not alpha > 0:
-        raise ValidationError("alpha must be positive")
-    if not hbar > 0:
-        raise ValidationError("hbar must be positive")
+    _require_positive(alpha, "alpha")
+    _require_positive(hbar, "hbar")
     dim = _hermitian(family(path(0.0)), "family value").shape[0]
-
-    def h_of_s(s):
-        hs = _sample_matrices(lambda x: family(path(x)), np.atleast_1d(s),
-                              dim)
-        if hs.shape[1:] != (dim, dim):
-            raise ValidationError("family values must share one dimension")
-        return _hermitian(hs, "family value", stacked=True)
-
-    integrals, min_gap = _simpson_eigen_traces(h_of_s, dim)
-    if dim > 1 and min_gap < gap_threshold:
-        raise NumericalError(
-            f"spectral gap {min_gap:.3e} fell below {gap_threshold:.1e} "
-            "along the path")
+    h_of_s, integrals, min_gap = _gapped_family(
+        lambda x: family(path(x)), dim, gap_threshold)
     dyn = integrals / (alpha * hbar)
     phases = dyn[:, None] - dyn[None, :]
 

@@ -80,8 +80,7 @@ class FockSpec:
             raise ValidationError("every cutoff must be >= 1")
         if self.statistics == "fermi" and any(c != 1 for c in self.cutoffs):
             raise ValidationError("fermionic cutoffs are fixed to 1")
-        if not (math.isfinite(self.hbar) and self.hbar > 0):
-            raise ValidationError("hbar must be positive and finite")
+        _require_positive(self.hbar, "hbar")
 
     @classmethod
     def bose(cls, cutoffs: Sequence[int], hbar: float = 1.0) -> "FockSpec":
@@ -354,6 +353,12 @@ def car_defect(spec: FockSpec) -> CommutationDefect:
     return CommutationDefect(safe=worst, unrestricted=worst)
 
 
+def _require_positive(value, what: str) -> None:
+    """The one rule for scale parameters (hbar, alpha): positive and finite."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValidationError(f"{what} must be positive and finite")
+
+
 def _require_finite(m, what: str, shape: tuple | None = None) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if not np.all(np.isfinite(m)):
@@ -537,8 +542,7 @@ def norm_divergence_demo(f_values: Sequence[complex], m_list: Sequence[int],
     norm squared; NumericalError where the norm squared exceeds double
     range.
     """
-    if not (math.isfinite(hbar) and hbar > 0):
-        raise ValidationError("hbar must be positive and finite")
+    _require_positive(hbar, "hbar")
     f = _require_finite(f_values, "f values")
     rows = []
     for m in m_list:

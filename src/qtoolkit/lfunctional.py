@@ -14,9 +14,11 @@ expanding both exponentials,
 so the stored coefficients V are exactly the normally ordered correlation
 functions.  Annihilation and creation acting on K from either side become
 first-order operators b, b+, btilde, btilde+ in the alpha variables
-(doubling of fields); the von Neumann equation becomes a closed linear
-system on the V coefficients for quadratic Hamiltonians and is integrated
-by exact exponentiation.
+(doubling of fields), all four one shift map with beta and gamma swapped
+for the tilde pair.  The von Neumann equation is the commutator of their
+words: for Hamiltonians of ladder degree at most two (constant, linear
+and quadratic terms) it is a closed linear system on the V coefficients,
+integrated by exact exponentiation.
 
 The module also carries Gaussian closed forms (coherent, thermal), a
 lattice toy comparing the full Weyl-form evolution kernel against its
@@ -36,7 +38,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .fock import (DensityMatrix, FockSpec, _hermitian, _monomials,
-                   annihilation_matrix, creation_matrix)
+                   _require_positive, annihilation_matrix, creation_matrix)
 from .serialize import matrix_from_json, matrix_to_json
 from .weyl_clifford import NormalOrderedPolynomial, involution
 
@@ -135,13 +137,9 @@ class TaylorLFunctional:
 
     def occupation_matrix(self) -> np.ndarray:
         """Degree-2 block <adag_k a_l>, positive semidefinite for states."""
-        n = np.zeros((self.modes, self.modes), dtype=complex)
-        for k in range(self.modes):
-            for l in range(self.modes):
-                ek = tuple(1 if i == k else 0 for i in range(self.modes))
-                el = tuple(1 if i == l else 0 for i in range(self.modes))
-                n[k, l] = self.value(ek, el)
-        return n
+        e = [_shift((0,) * self.modes, k, 1) for k in range(self.modes)]
+        return np.array([[self.value(ek, el) for el in e] for ek in e],
+                        dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -236,29 +234,19 @@ class GaussianLFunctional:
         base: dict[tuple, complex] = {}
         m = self.modes
         zero = (0,) * m
-
-        def bump(key, k, star):
-            beta, gamma = key
-            if star:
-                gamma = gamma[:k] + (gamma[k] + 1,) + gamma[k + 1:]
-            else:
-                beta = beta[:k] + (beta[k] + 1,) + beta[k + 1:]
-            return (beta, gamma)
-
+        e = [_shift(zero, k, 1) for k in range(m)]
         for k in range(m):
             if self.linear_star[k] != 0:
-                key = bump((zero, zero), k, star=True)
+                key = (zero, e[k])
                 base[key] = base.get(key, 0.0) + self.linear_star[k]
             if self.linear[k] != 0:
-                key = bump((zero, zero), k, star=False)
+                key = (e[k], zero)
                 base[key] = base.get(key, 0.0) + self.linear[k]
         occ = np.asarray(self.occupation, dtype=complex)
-        for k in range(m):
-            for l in range(m):
-                if occ[k, l] != 0:
-                    key = bump(bump((zero, zero), k, star=True), l,
-                               star=False)
-                    base[key] = base.get(key, 0.0) - occ[k, l]
+        for k, l in itertools.product(range(m), repeat=2):
+            if occ[k, l] != 0:
+                key = (e[l], e[k])
+                base[key] = base.get(key, 0.0) - occ[k, l]
 
         def multiply(p, q):
             out: dict[tuple, complex] = {}
@@ -339,60 +327,42 @@ def thermal_lfunctional(n_bar: Sequence[float], degree: int = 6,
 # doubled operators on coefficient dictionaries
 
 
-def _shift(idx: tuple, k: int, by: int) -> tuple | None:
-    val = idx[k] + by
-    if val < 0:
-        return None
-    return idx[:k] + (val,) + idx[k + 1:]
+def _shift(idx: tuple, k: int, by: int) -> tuple:
+    return idx[:k] + (idx[k] + by,) + idx[k + 1:]
 
 
-def _op_b(d: dict, k: int, hbar: float) -> dict:
-    """b(k): annihilation acting on K from the right (V reads beta+e_k)."""
+def _doubled(d: dict, k: int, hbar: float, plus: bool, tilde: bool) -> dict:
+    """One doubled operator of mode k (0-based) on a coefficient dict.
+
+    b reads V at beta+e_k; b+ reads V at gamma+e_k plus hbar beta_k V at
+    beta-e_k.  On traces, b and b+ multiply K from the right by a+ and a.
+    The tilde operators are the same maps with beta and gamma swapped on
+    the way in and on the way out; they multiply K from the left by a and
+    a+.
+    """
     out = {}
-    for (beta, gamma), v in d.items():
-        if beta[k] >= 1:
-            key = (_shift(beta, k, -1), gamma)
-            out[key] = out.get(key, 0.0) + v
+
+    def put(x, y, v):
+        key = (y, x) if tilde else (x, y)
+        out[key] = out.get(key, 0.0) + v
+
+    for key, v in d.items():
+        x, y = key[::-1] if tilde else key
+        if plus:
+            if y[k] >= 1:
+                put(x, _shift(y, k, -1), v)
+            put(_shift(x, k, 1), y, hbar * (x[k] + 1) * v)
+        elif x[k] >= 1:
+            put(_shift(x, k, -1), y, v)
     return out
 
 
-def _op_b_plus(d: dict, k: int, hbar: float) -> dict:
-    out = {}
-    for (beta, gamma), v in d.items():
-        key = (beta, _shift(gamma, k, -1))
-        if key[1] is not None:
-            out[key] = out.get(key, 0.0) + v
-        key2 = (_shift(beta, k, 1), gamma)
-        out[key2] = out.get(key2, 0.0) + hbar * (beta[k] + 1) * v
-    return out
-
-
-def _op_b_tilde(d: dict, k: int, hbar: float) -> dict:
-    """btilde(k): annihilation acting on K from the left."""
-    out = {}
-    for (beta, gamma), v in d.items():
-        if gamma[k] >= 1:
-            key = (beta, _shift(gamma, k, -1))
-            out[key] = out.get(key, 0.0) + v
-    return out
-
-
-def _op_b_tilde_plus(d: dict, k: int, hbar: float) -> dict:
-    out = {}
-    for (beta, gamma), v in d.items():
-        key = (_shift(beta, k, -1), gamma)
-        if key[0] is not None:
-            out[key] = out.get(key, 0.0) + v
-        key2 = (beta, _shift(gamma, k, 1))
-        out[key2] = out.get(key2, 0.0) + hbar * (gamma[k] + 1) * v
-    return out
-
-
+# (plus, tilde) of each public doubled-operator name
 _B_OPS = {
-    "b": _op_b,
-    "b_plus": _op_b_plus,
-    "b_tilde": _op_b_tilde,
-    "b_tilde_plus": _op_b_tilde_plus,
+    "b": (False, False),
+    "b_plus": (True, False),
+    "b_tilde": (False, True),
+    "b_tilde_plus": (True, True),
 }
 
 
@@ -407,7 +377,7 @@ def apply_doubled(l: TaylorLFunctional, name: str, k: int
         raise ValidationError(f"unknown doubled operator {name!r}")
     if not 1 <= k <= l.modes:
         raise ValidationError("mode index out of range")
-    raw = _B_OPS[name](dict(l.correlations), k - 1, l.hbar)
+    raw = _doubled(dict(l.correlations), k - 1, l.hbar, *_B_OPS[name])
     deg = l.degree - 1
     if deg < 0:
         raise ValidationError("functional degree too small to apply operators")
@@ -420,10 +390,9 @@ def apply_doubled(l: TaylorLFunctional, name: str, k: int
 
 
 def _commute(f, g, d, k, j, hbar):
-    first = f(g(d, j, hbar), k, hbar)
-    second = g(f(d, k, hbar), j, hbar)
-    out = dict(first)
-    for key, v in second.items():
+    """[f_k, g_j] on d for (plus, tilde) pairs f and g."""
+    out = _doubled(_doubled(d, j, hbar, *g), k, hbar, *f)
+    for key, v in _doubled(_doubled(d, k, hbar, *f), j, hbar, *g).items():
         out[key] = out.get(key, 0.0) - v
     return out
 
@@ -499,19 +468,15 @@ def b_operators_check(spec: FockSpec, degree: int = 4) -> BOperatorReport:
     cross = 0.0
     for key in _all_keys(m, degree):
         basis = {key: 1.0 + 0.0j}
-        for k in range(m):
-            for j in range(m):
-                want = hbar if k == j else 0.0
-                d = _commute(_op_b, _op_b_plus, basis, k, j, hbar)
+        for k, j in itertools.product(range(m), repeat=2):
+            want = hbar if k == j else 0.0
+            for tilde in (False, True):
+                d = _commute((False, tilde), (True, tilde), basis, k, j, hbar)
                 d[key] = d.get(key, 0.0) - want
                 ccr = max(ccr, _dict_max_abs(d))
-                d = _commute(_op_b_tilde, _op_b_tilde_plus, basis, k, j, hbar)
-                d[key] = d.get(key, 0.0) - want
-                ccr = max(ccr, _dict_max_abs(d))
-                for f in (_op_b, _op_b_plus):
-                    for g in (_op_b_tilde, _op_b_tilde_plus):
-                        d = _commute(f, g, basis, k, j, hbar)
-                        cross = max(cross, _dict_max_abs(d))
+            for f, g in itertools.product((False, True), repeat=2):
+                d = _commute((f, False), (g, True), basis, k, j, hbar)
+                cross = max(cross, _dict_max_abs(d))
 
     if min(spec.cutoffs) < degree + 2:
         raise ValidationError("cutoffs too small for the trace comparison")
@@ -545,66 +510,37 @@ def b_operators_check(spec: FockSpec, degree: int = 4) -> BOperatorReport:
 # evolution of functionals
 
 
-def _term_mode_pair(exponents: tuple) -> list:
-    flat = []
-    for mode, e in enumerate(exponents):
-        flat.extend([mode] * e)
-    return flat
-
-
 def _evolution_generator(h: NormalOrderedPolynomial, keys: list,
                          hbar: float) -> np.ndarray:
+    """Matrix of V -> -(i/hbar) V_[H, K] on the coefficients at `keys`.
+
+    Each term coeff (a+)^c a^a acts on every basis functional {key: 1} from
+    the left (tilde operators, rightmost letter first) and from the right
+    (plain operators, leftmost letter first); column `key` is
+    -(i/hbar) coeff (left - right).  At ladder degree <= 2 no row reads a
+    coefficient of higher total degree, so the truncation is exact.
+    """
     index = {key: i for i, key in enumerate(keys)}
     gen = np.zeros((len(keys), len(keys)), dtype=complex)
-
-    def add(row_key, col_key, value):
-        col = index.get(col_key)
-        if col is not None:
-            gen[index[row_key], col] += value
-
     for (ckey, akey), coeff in h.terms.items():
-        c_tot, a_tot = sum(ckey), sum(akey)
-        if (c_tot, a_tot) == (0, 0):
-            continue
-        for key in keys:
-            beta, gamma = key
-            if (c_tot, a_tot) == (1, 1):
-                k = _term_mode_pair(ckey)[0]
-                l = _term_mode_pair(akey)[0]
-                if gamma[k] >= 1:
-                    tgt = (beta, _shift(_shift(gamma, k, -1), l, 1))
-                    add(key, tgt, -1j * coeff * gamma[k])
-                if beta[l] >= 1:
-                    tgt = (_shift(_shift(beta, k, 1), l, -1), gamma)
-                    add(key, tgt, 1j * coeff * beta[l])
-            elif (c_tot, a_tot) == (2, 0):
-                k, l = _term_mode_pair(ckey)
-                if gamma[k] >= 1:
-                    add(key, (_shift(beta, l, 1), _shift(gamma, k, -1)),
-                        -1j * coeff * gamma[k])
-                if gamma[l] >= 1:
-                    add(key, (_shift(beta, k, 1), _shift(gamma, l, -1)),
-                        -1j * coeff * gamma[l])
-                low = _shift(gamma, k, -1)
-                if low is not None and low[l] >= 1:
-                    add(key, (beta, _shift(low, l, -1)),
-                        -1j * coeff * hbar * gamma[k] * low[l])
-            elif (c_tot, a_tot) == (0, 2):
-                k, l = _term_mode_pair(akey)
-                if beta[k] >= 1:
-                    add(key, (_shift(beta, k, -1), _shift(gamma, l, 1)),
-                        1j * coeff * beta[k])
-                if beta[l] >= 1:
-                    add(key, (_shift(beta, l, -1), _shift(gamma, k, 1)),
-                        1j * coeff * beta[l])
-                low = _shift(beta, l, -1)
-                if low is not None and low[k] >= 1:
-                    add(key, (_shift(low, k, -1), gamma),
-                        1j * coeff * hbar * beta[l] * low[k])
-            else:
-                raise ValidationError(
-                    "degree overflow: the generator closes on a fixed degree "
-                    "only for Hamiltonians of ladder degree at most two")
+        if sum(ckey) + sum(akey) > 2:
+            raise ValidationError(
+                "degree overflow: the generator closes on a fixed degree "
+                "only for Hamiltonians of ladder degree at most two")
+        word = ([(k, True) for k, e in enumerate(ckey) for _ in range(e)]
+                + [(k, False) for k, e in enumerate(akey) for _ in range(e)])
+        scale = -1j / hbar * coeff
+        for col, key in enumerate(keys):
+            left = right = {key: 1.0}
+            for k, creation in reversed(word):
+                left = _doubled(left, k, hbar, creation, True)
+            for k, creation in word:
+                right = _doubled(right, k, hbar, not creation, False)
+            for row_key in left.keys() | right.keys():
+                row = index.get(row_key)
+                if row is not None:
+                    gen[row, col] += scale * (left.get(row_key, 0.0)
+                                              - right.get(row_key, 0.0))
     return gen
 
 
@@ -612,10 +548,14 @@ def evolve_L(l0: TaylorLFunctional, h: NormalOrderedPolynomial, t: float,
              steps: int = 1) -> TaylorLFunctional:
     """Propagate correlation coefficients under a quadratic Hamiltonian.
 
-    The von Neumann equation closes on the coefficients of total degree
-    <= l0.degree whenever every term of h has ladder degree at most two;
-    the resulting linear system is integrated by exact exponentiation of
-    the generator over `steps` equal time slices.
+    The generator is the commutator of each term's ladder word, built from
+    the doubled operators: the word acts from the left through btilde and
+    btilde+ and from the right through b and b+.  It closes on the
+    coefficients of total degree <= l0.degree whenever every term of h has
+    ladder degree at most two, linear (displacement) terms included; a
+    term of higher degree raises ValidationError.  The linear system is
+    integrated by exact exponentiation of the generator over `steps` equal
+    time slices.
     """
     if h.statistics != "bose":
         raise ValidationError("evolution requires a bosonic Hamiltonian")
@@ -681,7 +621,8 @@ def hbar_sweep(hbars: Sequence[float] = (1e-1, 1e-2, 1e-3), t: float = 1.0,
     (2/hbar) sin(hbar/2 sigma(alpha, beta)).  Replacing the kernel by its
     limit sigma(alpha, beta) defines the classical flow; the maximal
     difference at time t scales as hbar^2, and the measured log-log slope
-    is returned.  The classical flow and the hbar flows, stacked on a
+    is returned; a zero gap (t = 0) or an overflowing flow raises
+    NumericalError.  The classical flow and the hbar flows, stacked on a
     leading axis, take one RK4 run with the arithmetic of separate runs.
     """
     from .evolution import rk4_fixed
@@ -704,9 +645,13 @@ def hbar_sweep(hbars: Sequence[float] = (1e-1, 1e-2, 1e-3), t: float = 1.0,
     kernels = [np.stack([w * s] + [w * (2.0 / hb) * np.sin(0.5 * hb * s)
                                    for hb in hbars])
                for w, s in zip(weights, sigmas)]
-    flows = rk4_fixed(lambda s, l: _lattice_rhs(l, shifts, kernels),
-                      np.broadcast_to(l0, kernels[0].shape), 0.0, t, steps)
-    gaps = [float(np.abs(quantum - flows[0]).max()) for quantum in flows[1:]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        flows = rk4_fixed(lambda s, l: _lattice_rhs(l, shifts, kernels),
+                          np.broadcast_to(l0, kernels[0].shape), 0.0, t, steps)
+        gaps = np.abs(flows[1:] - flows[0]).max(axis=(-2, -1)).tolist()
+    if not all(0 < g < math.inf for g in gaps):
+        raise NumericalError(f"no slope to fit: the gaps {gaps} must be "
+                             "positive and finite")
     slope = float(np.polyfit(np.log(hbars), np.log(gaps), 1)[0])
     return HbarSweepResult(hbars=hbars, gaps=tuple(gaps), slope=slope,
                            spacing=spacing, extent=extent)
@@ -801,8 +746,7 @@ def two_point_green(n_profile: Sequence[float], eps_profile: Sequence[float],
         raise ValidationError("occupations must be >= 0")
     if not 1 <= mode <= len(n_profile):
         raise ValidationError("mode index out of range")
-    if hbar <= 0:
-        raise ValidationError("hbar must be positive")
+    _require_positive(hbar, "hbar")
     taus = np.asarray(taus, dtype=float)
     if taus.ndim != 1 or len(taus) < 8:
         raise ValidationError("need at least eight time samples")

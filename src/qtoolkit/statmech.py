@@ -114,11 +114,15 @@ class FreeGasResult:
     occupations: tuple[float, ...]
 
 
+@np.errstate(over="ignore")
 def free_gas(eps: Sequence[float], beta: float, statistics: str) -> FreeGasResult:
     """Closed-form Z, E, and occupations for a free gas.
 
     bose:  Z = prod (1 - e^{-beta eps})^-1,  n_k = (e^{beta eps} - 1)^-1
     fermi: Z = prod (1 + e^{-beta eps}),     n_k = (e^{beta eps} + 1)^-1
+
+    Overflow is the limit itself and stays silent: e^{beta eps} -> inf
+    gives n_k = 0, and a Z past double range is inf.
     """
     eps = np.asarray(eps, dtype=float)
     if not beta > 0:

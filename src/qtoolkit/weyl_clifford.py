@@ -71,8 +71,7 @@ class NormalOrderedPolynomial:
             raise ValidationError(f"unknown statistics {self.statistics!r}")
         if self.modes < 1:
             raise ValidationError("modes must be >= 1")
-        if not (self.hbar > 0):
-            raise ValidationError("hbar must be positive")
+        fock._require_positive(self.hbar, "hbar")
         clean = {}
         for key, coeff in self.terms.items():
             coeff = complex(coeff)
@@ -416,24 +415,18 @@ class WeylCheckResult:
 
 
 def weyl_exponential_check(spec: fock.FockSpec, alpha: Sequence[float],
-                           beta: Sequence[float], sigma: SigmaForm | None = None,
-                           max_level: int = 2, tol: float | None = None
-                           ) -> WeylCheckResult:
+                           beta: Sequence[float], max_level: int = 2,
+                           tol: float | None = None) -> WeylCheckResult:
     """Defect of V_alpha V_beta = exp(-i (hbar/2) alpha.sigma.beta) V_{alpha+beta}.
 
     V_alpha = exp(i sum_k alpha_k u^k) with the canonical quadratures on a
     truncated space; the defect is measured column-wise on the subspace of
     total occupation <= max_level, where truncation tails are smallest.
-    Only the canonical symplectic pairing is supported.
+    sigma is the canonical per-mode pairing SigmaForm.canonical.
     """
     if spec.statistics != "bose":
         raise ValidationError("exponential Weyl check requires bosons")
-    canonical = SigmaForm.canonical(spec.modes)
-    if sigma is not None and not np.array_equal(sigma.matrix, canonical.matrix):
-        raise ValidationError(
-            "only the canonical per-mode [[0,1],[-1,0]] pairing is supported; "
-            "block-diagonalize general sigma before calling")
-    sigma = canonical
+    sigma = SigmaForm.canonical(spec.modes)
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
     if alpha.shape != (2 * spec.modes,) or beta.shape != (2 * spec.modes,):

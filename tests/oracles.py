@@ -33,6 +33,12 @@ columns.  `hbar_sweep_loop` integrates the classical lattice flow and each
 hbar flow by an RK4 run of its own; src stacks them in one run.
 `phase_table_eval` is the barycentric formula of the decoherence phase
 table with a fresh temporary per step; src reuses one buffer.
+
+`evolution_generator_branches` is the von Neumann generator on
+correlation coefficients derived by hand, one branch per term shape
+(1, 1), (2, 0) and (0, 2); src composes it from the doubled operators.
+`DOUBLED_MIRRORS` writes out each of the four doubled operators as a map
+of its own; src has one map and swaps beta and gamma for the tilde pair.
 """
 
 import functools
@@ -406,10 +412,13 @@ def fermi_trace_fraction(eps, beta: float):
             tuple(float(x / z_trace) for x in occ_weighted))
 
 
-def phase_sums_full(phases: np.ndarray) -> np.ndarray:
+def phase_sums_full(phases: np.ndarray, weights=None) -> np.ndarray:
     """Sums over trials of exp(-i (phases[m] - phases[n])), every (m, n)
-    pair exponentiated."""
-    return np.exp(-1j * (phases[:, None, :] - phases[None, :, :])).sum(axis=2)
+    pair exponentiated, each trial's terms times its weight if given."""
+    factors = np.exp(-1j * (phases[:, None, :] - phases[None, :, :]))
+    if weights is not None:
+        factors = factors * weights
+    return factors.sum(axis=2)
 
 
 def trotter_errors_alternating(factors, t: float, n_values) -> dict:
@@ -490,3 +499,120 @@ def phase_table_eval(table, lam) -> np.ndarray:
         exact = hit.any(axis=0)
         out[:, exact] = table.values[:, idx[exact]]
     return out
+
+
+def _shift(idx: tuple, k: int, by: int):
+    val = idx[k] + by
+    return None if val < 0 else idx[:k] + (val,) + idx[k + 1:]
+
+
+def evolution_generator_branches(h: NormalOrderedPolynomial, keys: list,
+                                 hbar: float) -> np.ndarray:
+    """Generator of dV/dt under a quadratic h, derived branch by branch.
+
+    Constant terms are skipped; a term of any other shape than (1, 1),
+    (2, 0) or (0, 2) raises ValueError.  The hbar of the contraction terms
+    enters as hbar itself, the others carry no hbar at all.
+    """
+    index = {key: i for i, key in enumerate(keys)}
+    gen = np.zeros((len(keys), len(keys)), dtype=complex)
+
+    def add(row_key, col_key, value):
+        col = index.get(col_key)
+        if col is not None:
+            gen[index[row_key], col] += value
+
+    def modes_of(exponents):
+        return [mode for mode, e in enumerate(exponents) for _ in range(e)]
+
+    for (ckey, akey), coeff in h.terms.items():
+        shape = (sum(ckey), sum(akey))
+        if shape == (0, 0):
+            continue
+        if shape not in ((1, 1), (2, 0), (0, 2)):
+            raise ValueError(f"no branch for a term of shape {shape}")
+        for key in keys:
+            beta, gamma = key
+            if shape == (1, 1):
+                k, l = modes_of(ckey)[0], modes_of(akey)[0]
+                if gamma[k] >= 1:
+                    tgt = (beta, _shift(_shift(gamma, k, -1), l, 1))
+                    add(key, tgt, -1j * coeff * gamma[k])
+                if beta[l] >= 1:
+                    tgt = (_shift(_shift(beta, k, 1), l, -1), gamma)
+                    add(key, tgt, 1j * coeff * beta[l])
+            elif shape == (2, 0):
+                k, l = modes_of(ckey)
+                if gamma[k] >= 1:
+                    add(key, (_shift(beta, l, 1), _shift(gamma, k, -1)),
+                        -1j * coeff * gamma[k])
+                if gamma[l] >= 1:
+                    add(key, (_shift(beta, k, 1), _shift(gamma, l, -1)),
+                        -1j * coeff * gamma[l])
+                low = _shift(gamma, k, -1)
+                if low is not None and low[l] >= 1:
+                    add(key, (beta, _shift(low, l, -1)),
+                        -1j * coeff * hbar * gamma[k] * low[l])
+            else:
+                k, l = modes_of(akey)
+                if beta[k] >= 1:
+                    add(key, (_shift(beta, k, -1), _shift(gamma, l, 1)),
+                        1j * coeff * beta[k])
+                if beta[l] >= 1:
+                    add(key, (_shift(beta, l, -1), _shift(gamma, k, 1)),
+                        1j * coeff * beta[l])
+                low = _shift(beta, l, -1)
+                if low is not None and low[k] >= 1:
+                    add(key, (_shift(low, k, -1), gamma),
+                        1j * coeff * hbar * beta[l] * low[k])
+    return gen
+
+
+def _op_b(d: dict, k: int, hbar: float) -> dict:
+    out = {}
+    for (beta, gamma), v in d.items():
+        if beta[k] >= 1:
+            key = (_shift(beta, k, -1), gamma)
+            out[key] = out.get(key, 0.0) + v
+    return out
+
+
+def _op_b_plus(d: dict, k: int, hbar: float) -> dict:
+    out = {}
+    for (beta, gamma), v in d.items():
+        key = (beta, _shift(gamma, k, -1))
+        if key[1] is not None:
+            out[key] = out.get(key, 0.0) + v
+        key2 = (_shift(beta, k, 1), gamma)
+        out[key2] = out.get(key2, 0.0) + hbar * (beta[k] + 1) * v
+    return out
+
+
+def _op_b_tilde(d: dict, k: int, hbar: float) -> dict:
+    out = {}
+    for (beta, gamma), v in d.items():
+        if gamma[k] >= 1:
+            key = (beta, _shift(gamma, k, -1))
+            out[key] = out.get(key, 0.0) + v
+    return out
+
+
+def _op_b_tilde_plus(d: dict, k: int, hbar: float) -> dict:
+    out = {}
+    for (beta, gamma), v in d.items():
+        key = (_shift(beta, k, -1), gamma)
+        if key[0] is not None:
+            out[key] = out.get(key, 0.0) + v
+        key2 = (beta, _shift(gamma, k, 1))
+        out[key2] = out.get(key2, 0.0) + hbar * (gamma[k] + 1) * v
+    return out
+
+
+# the doubled operators on coefficient dicts, one map each, keyed by the
+# names of lfunctional.apply_doubled (mode k 0-based)
+DOUBLED_MIRRORS = {
+    "b": _op_b,
+    "b_plus": _op_b_plus,
+    "b_tilde": _op_b_tilde,
+    "b_tilde_plus": _op_b_tilde_plus,
+}

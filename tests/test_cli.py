@@ -521,20 +521,23 @@ def _argv(draw):
 
 
 def _run_captured(argv):
+    """Exit code, stdout bytes, stderr text and every warning raised."""
     stdout, err = io.TextIOWrapper(io.BytesIO()), io.StringIO()
     with contextlib.redirect_stdout(stdout), \
-            contextlib.redirect_stderr(err), warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+            contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = cli.run(argv)
-    return code, stdout.buffer.getvalue(), err.getvalue()
+    return code, stdout.buffer.getvalue(), err.getvalue(), caught
 
 
 class TestArgvFuzz:
     @given(argv=_argv())
     @settings(max_examples=300, deadline=None)
     def test_every_argv_exits_cleanly(self, argv):
-        code, out, err = _run_captured(argv)
+        code, out, err, caught = _run_captured(argv)
         assert code in (0, 2, 3), argv
+        assert not caught, (argv, [str(w.message) for w in caught])
         if code:
             assert out == b""
             diagnostic = json.loads(err.splitlines()[-1])

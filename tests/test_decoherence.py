@@ -80,6 +80,29 @@ def test_phase_crossing_detected():
         phase_functional(ens, 0.5, 1, 0)
 
 
+def test_family_coupling_above_the_diagonal_only_is_rejected():
+    # eigvalsh reads one triangle: unchecked, this family passes as the
+    # real symmetric one
+    def upper(lam, g):
+        out = two_level_family(lam, g)
+        out[..., 0, 1] = 0.3 * np.asarray(g, dtype=float)
+        return out
+
+    ens = make_ensemble(family=upper)
+    with pytest.raises(ValidationError, match="hermitian"):
+        average_density(ens, plus_state())
+    with pytest.raises(ValidationError, match="hermitian"):
+        phase_functional(ens, 0.2, 1, 0)
+
+
+@pytest.mark.parametrize("kw", [
+    dict(hbar=0.0), dict(hbar=-1.0), dict(hbar=math.nan),
+    dict(alpha=math.inf), dict(alpha=math.nan)])
+def test_ensemble_scales_must_be_positive_and_finite(kw):
+    with pytest.raises(ValidationError, match="positive and finite"):
+        make_ensemble(**kw)
+
+
 def test_ensemble_validation():
     with pytest.raises(ValidationError):
         make_ensemble(alpha=0.0)
@@ -168,6 +191,9 @@ def test_phase_sums_equal_full_route():
         phases = rng.normal(size=(d, trials)) * rng.uniform(0.1, 1e3)
         got = decoherence._phase_sums(phases)
         assert got.tobytes() == phase_sums_full(phases).tobytes()
+        weights = rng.uniform(0.0, 2.0, size=trials)
+        got = decoherence._phase_sums(phases, weights)
+        assert got.tobytes() == phase_sums_full(phases, weights).tobytes()
 
 
 def sine_drive(d, freq):
@@ -232,6 +258,20 @@ def test_born_report_equals_full_phase_sums(monkeypatch, d, samples,
     got = average_density(ens, k0, threads=threads)
     monkeypatch.setattr(decoherence, "_phase_sums", phase_sums_full)
     want = average_density(ens, k0, threads=threads)
+    for field in dataclasses.fields(BornReport):
+        assert (np.asarray(getattr(got, field.name)).tobytes()
+                == np.asarray(getattr(want, field.name)).tobytes()), field.name
+
+
+@pytest.mark.parametrize("d", [1, 3, 5])
+def test_born_report_at_one_lambda_equals_full_phase_sums(monkeypatch, d):
+    rng = np.random.default_rng(np.random.Philox(300 + d))
+    ens = make_ensemble(family=level_drive(d, rng), alpha=0.05,
+                        lam_low=0.1, lam_high=0.1, trials=2501, seed=d)
+    k0 = random_density(rng, d)
+    got = average_density(ens, k0, threads=1)
+    monkeypatch.setattr(decoherence, "_phase_sums", phase_sums_full)
+    want = average_density(ens, k0, threads=1)
     for field in dataclasses.fields(BornReport):
         assert (np.asarray(getattr(got, field.name)).tobytes()
                 == np.asarray(getattr(want, field.name)).tobytes()), field.name

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -202,6 +203,19 @@ def test_trotter_order_validates_before_any_exponential(
         trotter_order(factors, t, n_values)
 
 
+def test_trotter_rejects_overflowing_time_without_warnings(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("expm called before validation")
+    monkeypatch.setattr(scipy.linalg, "expm", refuse)
+    big = [1e300 * np.eye(2), np.eye(2)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="overflows"):
+            trotter_order(big, 1e300, [4, 8])
+        with pytest.raises(NumericalError, match="overflows"):
+            trotter_slices(big, -1e10, 4)
+
+
 def test_trotter_slices_rejects_infinite_time():
     with pytest.raises(ValidationError, match="finite"):
         trotter_slices([np.eye(2)], math.inf, 4)
@@ -324,6 +338,9 @@ def test_symbol_grid_validation():
         SymbolGrid(n=1, dq=0.1)
     with pytest.raises(ValidationError):
         SymbolGrid(n=16, dq=-1.0)
+    for dq, hbar in ((math.inf, 1.0), (0.5, math.inf), (math.nan, 1.0)):
+        with pytest.raises(ValidationError, match="positive and finite"):
+            SymbolGrid(n=16, dq=dq, hbar=hbar)
     g = SymbolGrid(n=16, dq=0.5, hbar=2.0)
     assert g.dp * g.dq * g.n == pytest.approx(2 * np.pi * 2.0, rel=1e-14)
 
@@ -622,6 +639,14 @@ def test_adiabatic_rejects_nonhermitian_interior_value():
 
     with pytest.raises(ValidationError, match="hermitian"):
         adiabatic_evolve(family, lambda s: np.asarray(s), alpha=0.1)
+
+
+@pytest.mark.parametrize("alpha, hbar", [
+    (math.inf, 1.0), (math.nan, 1.0), (0.1, math.inf), (0.1, -1.0)])
+def test_adiabatic_scales_must_be_positive_and_finite(alpha, hbar):
+    with pytest.raises(ValidationError, match="positive and finite"):
+        adiabatic_evolve(lambda g: np.diag([0.0, 1.5]), lambda s: 0.0,
+                         alpha=alpha, hbar=hbar)
 
 
 def test_adiabatic_rejects_family_changing_dimension():

@@ -2,13 +2,14 @@
 lattice hbar sweep, Green functions, and Fourier asymptotics."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from qtoolkit import evolution, lfunctional
-from qtoolkit.errors import ValidationError
+from qtoolkit.errors import NumericalError, ValidationError
 from qtoolkit.fock import (DensityMatrix, FockSpec, annihilation_matrix,
                            creation_matrix, poisson_vector)
 from qtoolkit.lfunctional import (BOperatorReport, GaussianLFunctional,
@@ -19,10 +20,11 @@ from qtoolkit.lfunctional import (BOperatorReport, GaussianLFunctional,
                                   hbar_sweep, thermal_lfunctional,
                                   two_point_green)
 from qtoolkit.lfunctional import _reference_state, _taylor_from_operator
-from qtoolkit.weyl_clifford import poly
+from qtoolkit.weyl_clifford import involution, poly
 
 from conftest import random_density
-from oracles import (_key_to_word, correlations_chain, hbar_sweep_loop,
+from oracles import (DOUBLED_MIRRORS, _key_to_word, correlations_chain,
+                     evolution_generator_branches, hbar_sweep_loop,
                      ladder_word_loop, phase_trace_dense)
 
 
@@ -293,6 +295,113 @@ class TestEvolution:
             evolve_L(l0, poly("bose", 2, {}), 1.0)
 
 
+def quadratic_hamiltonian(rng, modes, hbar):
+    """Random self-adjoint h with every (1, 1), (2, 0) and (0, 2) term."""
+    def e(k):
+        return tuple(int(i == k) for i in range(modes))
+    zero = (0,) * modes
+    terms = {}
+    for k in range(modes):
+        for l in range(modes):
+            pair = tuple(x + y for x, y in zip(e(k), e(l)))
+            terms[(e(k), e(l))] = complex(*rng.normal(size=2))
+            terms[(pair, zero)] = (terms.get((pair, zero), 0)
+                                   + complex(*rng.normal(size=2)))
+    h = poly("bose", modes, terms, hbar=hbar)
+    return h + involution(h)
+
+
+class TestComposedGenerator:
+    def test_matches_branch_oracle(self):
+        # diagonal entries sum over modes and can cancel, so the error is
+        # measured against the largest entry of each column
+        rng = np.random.default_rng(np.random.Philox(14))
+        eps = np.finfo(float).eps
+        for modes in (1, 2, 3):
+            for degree in (2, 3, 4, 5):
+                for hbar in (0.3, 1.0, 2.5):
+                    h = quadratic_hamiltonian(rng, modes, hbar)
+                    keys = lfunctional._all_keys(modes, degree)
+                    got = lfunctional._evolution_generator(h, keys, hbar)
+                    want = evolution_generator_branches(h, keys, hbar)
+                    assert np.array_equal(got != 0, want != 0)
+                    scale = np.abs(want).max(axis=0)
+                    assert np.all(np.abs(got - want) <= 4 * eps * scale)
+
+    def test_evolve_matches_branch_oracle_on_two_modes(self):
+        rng = np.random.default_rng(np.random.Philox(15))
+        h = quadratic_hamiltonian(rng, 2, 0.7)
+        l0 = coherent_lfunctional([0.3 - 0.1j, -0.2 + 0.4j], degree=4,
+                                  hbar=0.7)
+        moved = evolve_L(l0, h, 0.8)
+        keys = lfunctional._all_keys(2, 4)
+        gen = evolution_generator_branches(h, keys, 0.7)
+        vec = scipy.linalg.expm(0.8 * gen) @ [l0.value(*k) for k in keys]
+        # the random squeeze grows the coefficients to about 1e5
+        assert max(abs(moved.value(*k) - v) for k, v in zip(keys, vec)) \
+            <= 1e-14 * np.abs(vec).max()
+
+    def test_linear_hamiltonian_matches_matrix_evolution(self):
+        spec = FockSpec.bose((60,), hbar=0.5)
+        t, f = 0.7, 0.3 - 0.2j
+        state = normalized_coherent(spec, [0.4])
+        h = poly("bose", 1, {((1,), (1,)): 0.8, ((1,), (0,)): f,
+                             ((0,), (1,)): np.conj(f), ((0,), (0,)): 0.25},
+                 hbar=spec.hbar)
+        a = annihilation_matrix(spec, 1)
+        h_mat = (0.8 * a.conj().T @ a + f * a.conj().T + np.conj(f) * a
+                 + 0.25 * np.eye(spec.dim))
+        u = scipy.linalg.expm(-1j * t / spec.hbar * h_mat)
+        direct = from_density(DensityMatrix(u @ state.matrix @ u.conj().T),
+                              spec, degree=4)
+        moved = evolve_L(from_density(state, spec, degree=4), h, t)
+        assert max(abs(moved.value(*key) - direct.value(*key))
+                   for key in direct.correlations) <= 1e-12
+
+    def test_constant_hamiltonian_leaves_the_functional(self):
+        l0 = thermal_lfunctional([0.6, 0.2], degree=3)
+        out = evolve_L(l0, poly("bose", 2, {((0, 0), (0, 0)): 2.5}), 1.9)
+        assert out.correlations == l0.correlations
+
+    def test_rejects_a_cubic_term_next_to_linear_ones(self):
+        l0 = thermal_lfunctional([0.5], degree=4)
+        h = poly("bose", 1, {((1,), (0,)): 1.0, ((0,), (1,)): 1.0,
+                             ((2,), (1,)): 1.0, ((1,), (2,)): 1.0})
+        with pytest.raises(ValidationError, match="degree overflow"):
+            evolve_L(l0, h, 1.0)
+
+    @pytest.mark.parametrize("name", sorted(DOUBLED_MIRRORS))
+    def test_apply_doubled_equals_mirror_maps(self, name):
+        # bytes and key order of the output dict, on a functional whose
+        # every coefficient is distinct and nonzero
+        g = GaussianLFunctional(modes=2, linear_star=(0.2 + 0.1j, -0.3),
+                                linear=(0.1, 0.4j),
+                                occupation=((0.5, 0.1j), (-0.1j, 0.3)))
+        l = g.to_taylor(5, hbar=0.3)
+        for k in (1, 2):
+            got = apply_doubled(l, name, k).correlations
+            raw = DOUBLED_MIRRORS[name](dict(l.correlations), k - 1, l.hbar)
+            want = {key: v for key, v in raw.items() if sum(key[0])
+                    + sum(key[1]) <= l.degree - 1}
+            for key in lfunctional._all_keys(l.modes, l.degree - 1):
+                want.setdefault(key, 0.0 + 0.0j)
+            assert list(got) == list(want)
+            assert (np.array(list(got.values()), dtype=complex).tobytes()
+                    == np.array(list(want.values()), dtype=complex).tobytes())
+
+    @pytest.mark.parametrize("cutoffs, degree, hbar", [
+        ((6, 6), 3, 0.5), ((7,), 5, 1.3), ((5, 5, 5), 3, 0.3)])
+    def test_operator_check_report_equals_mirror_maps(self, monkeypatch,
+                                                      cutoffs, degree, hbar):
+        spec = FockSpec.bose(cutoffs, hbar=hbar)
+        got = b_operators_check(spec, degree)
+        names = {pair: name for name, pair in lfunctional._B_OPS.items()}
+        monkeypatch.setattr(
+            lfunctional, "_doubled", lambda d, k, hbar, plus, tilde:
+            DOUBLED_MIRRORS[names[(plus, tilde)]](d, k, hbar))
+        assert b_operators_check(spec, degree) == got
+
+
 class TestHbarSweep:
     def test_gap_shrinks_quadratically(self):
         result = hbar_sweep(hbars=(1e-1, 1e-2, 1e-3), t=1.0, steps=48)
@@ -304,6 +413,13 @@ class TestHbarSweep:
             hbar_sweep(hbars=(0.1,))
         with pytest.raises(ValidationError):
             hbar_sweep(hbars=(0.1, -0.2))
+
+    @pytest.mark.parametrize("t", [0.0, 1e300])
+    def test_zero_or_overflowing_gaps_raise_without_warnings(self, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="no slope"):
+                hbar_sweep(t=t, steps=4)
 
     def test_rejects_non_finite_and_empty_lattices(self, capfd):
         nan, inf = float("nan"), float("inf")

@@ -1,6 +1,7 @@
 """Gibbs states, free gases, KMS, and truncated correlations."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -138,6 +139,15 @@ def test_free_bose_closed_form():
     res = free_gas([1.0], beta=math.log(2.0), statistics="bose")
     assert res.occupations[0] == pytest.approx(1.0, rel=1e-14)
     assert res.z == pytest.approx(2.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("statistics", ["bose", "fermi"])
+def test_free_gas_large_beta_limit_is_silent(statistics):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = free_gas([0.5, 2.0], beta=1e300, statistics=statistics)
+    assert res.occupations == (0.0, 0.0)
+    assert res.energy == 0.0 and res.log_z == 0.0 and res.z == 1.0
 
 
 def test_free_bose_rejects_nonpositive_modes():

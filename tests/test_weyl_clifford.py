@@ -107,6 +107,11 @@ class TestProducts:
         # explicit cap raise is allowed
         assert product(a, a, degree_cap=10).terms == {((10,), (0,)): 1.0 + 0j}
 
+    @pytest.mark.parametrize("hbar", [math.inf, math.nan, 0.0, -1.0])
+    def test_hbar_must_be_positive_and_finite(self, hbar):
+        with pytest.raises(ValidationError, match="positive and finite"):
+            poly("bose", 1, {((1,), (0,)): 1.0}, hbar=hbar)
+
     def test_bose_contraction_formula(self):
         # a^2 (a*)^2 = (a*)^2 a^2 + 4 hbar a* a + 2 hbar^2
         hbar = 0.5
