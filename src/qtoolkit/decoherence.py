@@ -23,6 +23,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -95,7 +96,7 @@ class PerturbationEnsemble:
                 raise ValidationError(
                     f"path must vanish at the endpoints; g({s_end}) = {g}")
 
-    @property
+    @cached_property
     def dim(self) -> int:
         probe = np.asarray(self.family(self._lam_ref(), 0.0))
         return probe.shape[0]

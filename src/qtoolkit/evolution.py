@@ -35,7 +35,6 @@ from .errors import NumericalError, ValidationError
 from .fock import _hermitian, _require_finite, _require_positive
 
 __all__ = [
-    "EvolutionProblem",
     "expm",
     "evolve_density",
     "heisenberg",
@@ -52,30 +51,9 @@ __all__ = [
     "hermite_transfer",
     "mehler_kernel",
     "rk4_fixed",
-    "propagate_linear_ode",
     "AdiabaticResult",
     "adiabatic_evolve",
 ]
-
-
-@dataclass(frozen=True)
-class EvolutionProblem:
-    """A time-evolution job: generator, duration, and what is evolved.
-
-    mode 'vector' propagates states by U(t); mode 'density' conjugates
-    density matrices by U(t).  Both demand a hermitian generator.
-    """
-
-    generator: np.ndarray
-    t: float
-    mode: str = "density"
-    hbar: float = 1.0
-
-    def __post_init__(self):
-        if self.mode not in ("vector", "density"):
-            raise ValidationError(f"unknown mode {self.mode!r}")
-        object.__setattr__(self, "generator",
-                           _hermitian(self.generator, "generator"))
 
 
 def expm(h: np.ndarray, t: float, hbar: float = 1.0) -> np.ndarray:
@@ -335,8 +313,7 @@ def mehler_kernel(grid: SymbolGrid, beta: float) -> np.ndarray:
     matrix products realize the semigroup K_a K_b = K_{a+b} to quadrature
     accuracy.
     """
-    if not beta > 0:
-        raise ValidationError("beta must be positive")
+    _require_positive(beta, "beta")
     hb = grid.hbar
     x = grid.q[:, None] / math.sqrt(hb)
     y = grid.q[None, :] / math.sqrt(hb)
@@ -368,7 +345,7 @@ def rk4_fixed(f: Callable, y0: np.ndarray, t0: float, t1: float,
     return y
 
 
-# Steps per block of the stepped propagators.  A power of two, so every
+# Steps per block of the Magnus propagator.  A power of two, so every
 # block starts at a multiple of its own size and its product is a subtree
 # of the balanced tree over all steps: reducing the block products
 # reproduces that tree, partial last block included.
@@ -424,56 +401,6 @@ def _blocked_product(steps: int, make_steps: Callable) -> np.ndarray:
         return _tree_product(np.stack(blocks))
 
 
-def _refine(run: Callable, steps: int, tol: float, max_steps: int
-            ) -> tuple[np.ndarray, int]:
-    """Double the step count until run(steps) agrees with the previous
-    resolution to tol in max norm; NumericalError past max_steps."""
-    prev = run(steps)
-    while True:
-        steps *= 2
-        if steps > max_steps:
-            raise NumericalError(
-                f"step-size underflow: no convergence to {tol:.1e} "
-                f"within {max_steps} steps")
-        cur = run(steps)
-        if float(np.abs(cur - prev).max()) <= tol:
-            return cur, steps
-        prev = cur
-
-
-def propagate_linear_ode(a_of_s: Callable, dim: int, s0: float, s1: float,
-                         tol: float = 1e-8, start_steps: int = 1024,
-                         max_steps: int = 1 << 20) -> tuple[np.ndarray, int]:
-    """Solve U' = A(s) U, U(s0) = 1, by fixed-step 4th-order slices.
-
-    Each step is the classical 4-stage update written as a matrix acting on
-    U, and the steps are combined by a balanced product tree.  The slices
-    are assembled in aligned blocks of _CHUNK steps, so live memory is
-    O(_CHUNK dim^2) plus one dim x dim product per block.  The step count
-    doubles (Richardson halving of h) until two consecutive resolutions
-    agree to tol in max norm.
-    """
-    eye = np.eye(dim, dtype=complex)
-
-    def run(steps: int) -> np.ndarray:
-        h = (s1 - s0) / steps
-
-        def slices(lo: int, hi: int) -> np.ndarray:
-            nodes = s0 + h * np.arange(2 * lo, 2 * hi + 1) / 2.0
-            a = _sample_matrices(a_of_s, nodes, dim)
-            a0, am, a1 = a[0:-1:2], a[1::2], a[2::2]
-            with np.errstate(over="ignore", invalid="ignore"):
-                k1 = a0
-                k2 = np.matmul(am, eye + 0.5 * h * k1)
-                k3 = np.matmul(am, eye + 0.5 * h * k2)
-                k4 = np.matmul(a1, eye + h * k3)
-                return eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-        return _blocked_product(steps, slices)
-
-    return _refine(run, start_steps, tol, max_steps)
-
-
 # Gauss-Legendre nodes of the 4th-order Magnus step, as fractions of the
 # step width: (1/2 -+ sqrt(3)/6) h into the step.
 _GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
@@ -490,9 +417,9 @@ def _magnus_propagator(h_of_s: Callable, scale: float, tol: float,
     (Iserles & Norsett 1999; Blanes, Casas, Oteo & Ros 2009), evaluated as
     V diag(e^{-i w}) V^H from one batched eigh, so every step is unitary
     to rounding.  h_of_s maps an array of points to a stack of hermitian
-    matrices.  Steps are reduced in aligned blocks as in
-    propagate_linear_ode, with the same step doubling from
-    _MAGNUS_START_STEPS.
+    matrices.  Steps are reduced in aligned blocks of _CHUNK steps, and
+    the step count doubles from _MAGNUS_START_STEPS until two consecutive
+    resolutions agree to tol in max norm; NumericalError past max_steps.
     """
 
     def run(steps: int) -> np.ndarray:
@@ -514,7 +441,18 @@ def _magnus_propagator(h_of_s: Callable, scale: float, tol: float,
 
         return _blocked_product(steps, unitaries)
 
-    return _refine(run, _MAGNUS_START_STEPS, tol, max_steps)
+    steps = _MAGNUS_START_STEPS
+    prev = run(steps)
+    while True:
+        steps *= 2
+        if steps > max_steps:
+            raise NumericalError(
+                f"step-size underflow: no convergence to {tol:.1e} "
+                f"within {max_steps} steps")
+        cur = run(steps)
+        if float(np.abs(cur - prev).max()) <= tol:
+            return cur, steps
+        prev = cur
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .fock import DensityMatrix, _hermitian, _require_finite
+from .fock import (DensityMatrix, _hermitian, _require_finite,
+                   _require_positive)
 
 __all__ = [
     "GibbsResult",
@@ -58,8 +59,7 @@ def gibbs_state(h: np.ndarray, beta: float) -> GibbsResult:
     log Z is exact (shift re-applied); Z itself may overflow to inf for
     extreme parameters and is secondary to log_z.
     """
-    if not beta > 0:
-        raise ValidationError("beta must be positive")
+    _require_positive(beta, "beta")
     h = _hermitian(h, "hamiltonian")
     vals, vecs = np.linalg.eigh(h)
     shift = float(vals.min())
@@ -114,6 +114,15 @@ class FreeGasResult:
     occupations: tuple[float, ...]
 
 
+def _mode_energies(eps: Sequence[float], beta: float) -> np.ndarray:
+    """eps as a float array, after the beta rule and a finiteness check."""
+    _require_positive(beta, "beta")
+    eps = np.asarray(eps, dtype=float)
+    if not np.all(np.isfinite(eps)):
+        raise ValidationError("mode energies must be finite")
+    return eps
+
+
 @np.errstate(over="ignore")
 def free_gas(eps: Sequence[float], beta: float, statistics: str) -> FreeGasResult:
     """Closed-form Z, E, and occupations for a free gas.
@@ -124,9 +133,7 @@ def free_gas(eps: Sequence[float], beta: float, statistics: str) -> FreeGasResul
     Overflow is the limit itself and stays silent: e^{beta eps} -> inf
     gives n_k = 0, and a Z past double range is inf.
     """
-    eps = np.asarray(eps, dtype=float)
-    if not beta > 0:
-        raise ValidationError("beta must be positive")
+    eps = _mode_energies(eps, beta)
     if statistics == "bose":
         if np.any(beta * eps <= 0):
             raise ValidationError("bosonic modes need beta*eps > 0 to converge")
@@ -182,7 +189,7 @@ def fermi_gas_dual_route(eps: Sequence[float], beta: float) -> FermiDualRoute:
     bit-for-bit; the routes still exercise different code paths and
     different combinatorics.
     """
-    eps = [float(e) for e in eps]
+    eps = _mode_energies(eps, beta).tolist()
     m = len(eps)
     if m > 16:
         raise ValidationError("trace route is exponential; m <= 16 required")
@@ -255,6 +262,8 @@ def bose_gas_truncated_trace(eps: Sequence[float], beta: float,
     cutoffs = [int(c) for c in cutoffs]
     if len(cutoffs) != len(eps):
         raise ValidationError("need one cutoff per mode")
+    if any(c < 0 for c in cutoffs):
+        raise ValidationError("cutoffs must be >= 0")
     closed = free_gas(eps, beta, "bose")
     r = np.exp(-beta * eps)
     z_trunc = 0.0
@@ -278,6 +287,7 @@ def kms_check(h: np.ndarray, a: np.ndarray, b: np.ndarray, beta: float,
     weights cancels and complex time never overflows at moderate beta*spread.
     """
     h = _hermitian(h, "hamiltonian")
+    _require_positive(beta, "beta")
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.shape != h.shape or b.shape != h.shape:

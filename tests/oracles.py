@@ -14,11 +14,13 @@ C^d (x) range(rho^T).  `ladder_word_loop` evaluates a stack of ladder
 words one word at a time; src gathers every word of the stack from
 per-letter tables in one pass a letter.
 
-`propagate_linear_ode_dense` samples every node and builds every RK4 slice
-of a resolution at once before the product tree; src builds them in
-aligned blocks.  `fermi_trace_fraction` sums the 2^m occupation masks in
-`Fraction` arithmetic; src sums integer numerators over one power-of-two
-denominator.
+`propagate_linear_ode_dense` solves U' = A(s) U by classical RK4 slices
+with step doubling; it is the independent route for the 4th-order Magnus
+propagator of `adiabatic_evolve`.  `magnus_dense` forms every Magnus step
+unitary of a resolution at once and reduces them with one product tree;
+src builds them in aligned blocks.  `fermi_trace_fraction` sums the 2^m
+occupation masks in `Fraction` arithmetic; src sums integer numerators
+over one power-of-two denominator.
 
 `phase_sums_full` exponentiates all d x d level pairs of every trial; src
 exponentiates the strict upper triangle and fills the rest by conjugation.
@@ -50,7 +52,8 @@ from typing import Sequence
 import numpy as np
 
 from qtoolkit.errors import NumericalError
-from qtoolkit.evolution import _sample_matrices, _tree_product
+from qtoolkit.evolution import (_GAUSS_NODES, _MAGNUS_START_STEPS,
+                                _sample_matrices, _tree_product)
 from qtoolkit.fock import (CommutationDefect, FockSpec, annihilation_matrix,
                            creation_matrix)
 from qtoolkit.weyl_clifford import NormalOrderedPolynomial
@@ -352,11 +355,29 @@ def induced_matrix_kron(gns, h: np.ndarray) -> np.ndarray:
     return (scale[:, None] * core) / scale[None, :]
 
 
+def _doubling(run, steps: int, tol: float, max_steps: int):
+    """Double the step count until run(steps) agrees with the previous
+    resolution to tol in max norm; NumericalError past max_steps."""
+    prev = run(steps)
+    while True:
+        steps *= 2
+        if steps > max_steps:
+            raise NumericalError(
+                f"step-size underflow: no convergence to {tol:.1e} "
+                f"within {max_steps} steps")
+        cur = run(steps)
+        if float(np.abs(cur - prev).max()) <= tol:
+            return cur, steps
+        prev = cur
+
+
 def propagate_linear_ode_dense(a_of_s, dim: int, s0: float, s1: float,
                                tol: float = 1e-8, start_steps: int = 1024,
                                max_steps: int = 1 << 20):
-    """propagate_linear_ode with all 2 steps + 1 samples of a resolution
-    held at once and one product tree over all its slices."""
+    """U(s1) for U' = A(s) U, U(s0) = 1, by fixed-step classical RK4 slices
+    (each step written as a matrix acting on U) with all 2 steps + 1
+    samples of a resolution held at once and one product tree over all its
+    slices."""
     eye = np.eye(dim, dtype=complex)
 
     def run(steps: int) -> np.ndarray:
@@ -372,18 +393,31 @@ def propagate_linear_ode_dense(a_of_s, dim: int, s0: float, s1: float,
             slices = eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             return _tree_product(slices)
 
-    steps = start_steps
-    prev = run(steps)
-    while True:
-        steps *= 2
-        if steps > max_steps:
-            raise NumericalError(
-                f"step-size underflow: no convergence to {tol:.1e} "
-                f"within {max_steps} steps")
-        cur = run(steps)
-        if float(np.abs(cur - prev).max()) <= tol:
-            return cur, steps
-        prev = cur
+    return _doubling(run, start_steps, tol, max_steps)
+
+
+def magnus_dense(h_of_s, scale: float, tol: float, max_steps: int,
+                 start_steps: int = _MAGNUS_START_STEPS):
+    """evolution._magnus_propagator with every step unitary of a resolution
+    formed at once and one product tree over all of them."""
+
+    def run(steps: int) -> np.ndarray:
+        h = 1.0 / steps
+        ratio = h / scale
+        mean_coef = 0.5 * ratio
+        comm_coef = math.sqrt(3.0) / 12.0 * ratio * ratio
+        nodes = h * (np.arange(steps)[:, None] + _GAUSS_NODES)
+        hs = h_of_s(nodes.reshape(-1))
+        h1, h2 = hs[0::2], hs[1::2]
+        with np.errstate(over="ignore", invalid="ignore"):
+            k = (mean_coef * (h1 + h2)
+                 - (1j * comm_coef) * (h2 @ h1 - h1 @ h2))
+            w, v = np.linalg.eigh(k)
+            unitaries = (v * np.exp(-1j * w)[:, None, :]) @ np.swapaxes(
+                v, -1, -2).conj()
+            return _tree_product(unitaries)
+
+    return _doubling(run, start_steps, tol, max_steps)
 
 
 def fermi_trace_fraction(eps, beta: float):

@@ -5,6 +5,7 @@ stdout bytes, and stderr diagnostics can be asserted exactly.
 """
 
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -94,6 +95,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, code, kind", [
         (["lfunc", "green", "--dt", "0"], 2, "validation"),
         (["lfunc", "green", "--window", "nan"], 2, "validation"),
+        (["lfunc", "green", "--window", "inf"], 2, "validation"),
         (["evolve", "trotter", "--n", ","], 2, "validation"),
         (["evolve", "trotter", "--n", "16"], 2, "validation"),
         (["statmech", "sweep", "--out", "{missing_dir}/x"], 2, "validation"),
@@ -111,7 +113,8 @@ class TestExitCodes:
          "validation"),
         (["gns", "construct", "--rho", '{{"rows":0,"cols":0,"data":[]}}'],
          2, "validation"),
-    ], ids=["green-dt-zero", "green-window-nan", "trotter-no-slices",
+    ], ids=["green-dt-zero", "green-window-nan", "green-window-inf",
+            "trotter-no-slices",
             "trotter-one-slice-count", "out-missing-dir", "poisson-overflow",
             "beta-range-too-long", "beta-range-overflows", "beta-range-nan",
             "beta-range-not-a-number", "grassmann-power-overflow",
@@ -406,6 +409,14 @@ class TestImport:
             "print(hasattr(qtoolkit, 'no_such_module'))")])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == b"False\n"
+
+    @pytest.mark.parametrize("name", qtoolkit._SUBMODULES)
+    def test_every_public_name_resolves(self, name):
+        # a stale __all__ entry would otherwise go unnoticed by anything
+        # that looks names up with a default
+        module = importlib.import_module(f"qtoolkit.{name}")
+        assert [attr for attr in module.__all__
+                if not hasattr(module, attr)] == []
 
     def test_module_entry_matches_console_entry(self):
         argv = ["statmech", "sweep", "--eps", "1", "--stat", "fermi",

@@ -114,6 +114,21 @@ def test_ensemble_validation():
         make_ensemble(lam_low=1.0, lam_high=0.0)
 
 
+def test_ensemble_dimension_is_probed_once():
+    probes = []
+
+    def family(lam, g):
+        probes.append(g)
+        return two_level_family(lam, g)
+
+    ens = make_ensemble(family=family)
+    assert ens.dim == 2
+    phase_functional(ens, 0.1, 1, 0)
+    phase_functional(ens, 0.2, 1, 0)
+    assert ens.dim == 2
+    assert sum(np.ndim(g) == 0 for g in probes) == 1
+
+
 # ---------------------------------------------------------------------------
 # averaged densities
 

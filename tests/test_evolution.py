@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from oracles import (continued_end_frame, propagate_linear_ode_dense,
-                     trotter_errors_alternating)
+from oracles import (continued_end_frame, magnus_dense,
+                     propagate_linear_ode_dense, trotter_errors_alternating)
 from qtoolkit import evolution
 from qtoolkit.errors import NumericalError, ValidationError
 from qtoolkit.evolution import (
     AdiabaticResult,
-    EvolutionProblem,
     SymbolGrid,
     adiabatic_evolve,
     boundary_mass,
@@ -26,7 +25,6 @@ from qtoolkit.evolution import (
     mehler_kernel,
     momentum_matrix,
     position_matrix,
-    propagate_linear_ode,
     qp_star_product,
     rk4_fixed,
     symbol_of_matrix,
@@ -106,15 +104,6 @@ def test_heisenberg_schrodinger_equivalence(rng):
     lhs = np.trace(evolve_density(k, h, t) @ a)
     rhs = np.trace(k @ heisenberg(a, h, t))
     assert abs(lhs - rhs) <= 1e-10
-
-
-def test_evolution_problem_validation():
-    with pytest.raises(ValidationError):
-        EvolutionProblem(np.eye(2), t=1.0, mode="wigner")
-    with pytest.raises(ValidationError):
-        EvolutionProblem(np.array([[0.0, 1.0], [0.0, 0.0]]), t=1.0)
-    prob = EvolutionProblem(np.diag([0.0, 1.0]), t=1.0, mode="vector")
-    assert prob.t == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -357,127 +346,6 @@ def test_rk4_fixed_scalar_order():
     assert 12.0 <= e1 / e2 <= 20.0
 
 
-def test_propagate_linear_ode_constant_generator(rng):
-    h = random_hermitian(rng, 4)
-    a = -1j * h
-    u, steps = propagate_linear_ode(lambda s: a, 4, 0.0, 1.0, tol=1e-10)
-    assert np.abs(u - scipy.linalg.expm(a)).max() <= 1e-9
-
-
-def test_propagate_linear_ode_step_underflow():
-    fast = lambda s: np.array([[0.0, 1e6], [-1e6, 0.0]], dtype=complex)
-    with pytest.raises(NumericalError):
-        propagate_linear_ode(fast, 2, 0.0, 1.0, tol=1e-12,
-                             start_steps=8, max_steps=64)
-
-
-@pytest.mark.parametrize("error", [ValidationError, NumericalError])
-def test_propagate_linear_ode_family_error_propagates(error):
-    calls = []
-
-    def family(s):
-        calls.append(s)
-        raise error("family refuses")
-
-    with pytest.raises(error, match="family refuses"):
-        propagate_linear_ode(family, 2, 0.0, 1.0, start_steps=8)
-    assert len(calls) == 1  # not re-run one point at a time
-
-
-def test_propagate_linear_ode_scalar_only_family():
-    # float(s) fails on the batch of nodes, so each node is sampled alone
-    a = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
-    u, _ = propagate_linear_ode(lambda s: float(s) * a, 2, 0.0, 1.0,
-                                tol=1e-10, start_steps=8)
-    assert np.abs(u - scipy.linalg.expm(0.5 * a)).max() <= 1e-9
-
-
-def smooth_generator(rng, dim, scale):
-    """s -> -i (h0 + sin(3 s) h1 + s^2 h2), batched over s."""
-    h0, h1, h2 = (random_hermitian(rng, dim, scale) for _ in range(3))
-
-    def a_of_s(s):
-        s = np.asarray(s, dtype=float)[..., None, None]
-        return -1j * (h0 + np.sin(3.0 * s) * h1 + s * s * h2)
-    return a_of_s
-
-
-@pytest.mark.parametrize("start_steps", [1, 3, 1000, 1024])
-@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
-def test_propagate_linear_ode_blocks_equal_dense_route(rng, dim, start_steps):
-    # converges past one block; start 1000 ends every resolution on a
-    # partial block, start 3 passes through 1536 = 1024 + 512 steps
-    a_of_s = smooth_generator(rng, dim, 12.0 / dim)
-    u, steps = propagate_linear_ode(a_of_s, dim, 0.0, 1.0, tol=1e-9,
-                                    start_steps=start_steps)
-    u_dense, steps_dense = propagate_linear_ode_dense(
-        a_of_s, dim, 0.0, 1.0, tol=1e-9, start_steps=start_steps)
-    assert steps == steps_dense > evolution._CHUNK
-    assert u.tobytes() == u_dense.tobytes()
-
-
-@pytest.mark.parametrize("chunk", [1, 2, 8, 64])
-def test_propagate_linear_ode_any_block_size_keeps_the_tree(rng, monkeypatch,
-                                                            chunk):
-    # tol = inf stops after one doubling, so each start gives the
-    # resolution 2 * start; step counts 2..138 against blocks of 1..64
-    a_of_s = smooth_generator(rng, 3, 1.0)
-    monkeypatch.setattr(evolution, "_CHUNK", chunk)
-    for start in range(1, 70):
-        u, steps = propagate_linear_ode(a_of_s, 3, -0.5, 1.0,
-                                        tol=math.inf, start_steps=start)
-        u_dense, steps_dense = propagate_linear_ode_dense(
-            a_of_s, 3, -0.5, 1.0, tol=math.inf, start_steps=start)
-        assert steps == steps_dense == 2 * start
-        assert u.tobytes() == u_dense.tobytes(), start
-
-
-def test_propagate_linear_ode_adiabatic_family_equals_dense_route():
-    # the gapped 4-level drive of the benchmark's numeric workload
-    levels = np.diag([0.0, 1.0, 2.1, 3.3]).astype(complex)
-    coupling = np.zeros((4, 4), dtype=complex)
-    for k, z in enumerate([0.13 * np.exp(0.4j), 0.17 * np.exp(2.2j),
-                           0.11 * np.exp(-1.3j)]):
-        coupling[k, k + 1], coupling[k + 1, k] = z, np.conj(z)
-    alpha = 0.1
-
-    def a_of_s(s):
-        g = np.sin(np.pi * np.asarray(s, dtype=float))
-        return (-1j / alpha) * (levels + g[..., None, None] * coupling)
-
-    u, steps = propagate_linear_ode(a_of_s, 4, 0.0, 1.0)
-    u_dense, steps_dense = propagate_linear_ode_dense(a_of_s, 4, 0.0, 1.0)
-    assert steps == steps_dense == 8192
-    assert u.tobytes() == u_dense.tobytes()
-
-
-def _traced_peak_of_failed_run(max_steps):
-    # a jump at the non-dyadic s = 1/3 keeps the error O(h), so no
-    # resolution up to max_steps meets tol
-    h = np.array([[1.0, 0.5], [0.5, -1.0]], dtype=complex)
-
-    def a_of_s(s):
-        sign = np.where(np.asarray(s, dtype=float) < 1.0 / 3.0, 1.0, -1.0)
-        return -1j * sign[..., None, None] * h
-
-    tracemalloc.start()
-    try:
-        with pytest.raises(NumericalError, match="step-size underflow"):
-            propagate_linear_ode(a_of_s, 2, 0.0, 1.0, tol=1e-12,
-                                 max_steps=max_steps)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_propagate_linear_ode_memory_is_bounded():
-    small = _traced_peak_of_failed_run(1 << 13)
-    large = _traced_peak_of_failed_run(1 << 17)
-    # all 2^18 + 1 samples of the last resolution at once would be 64 MiB
-    assert large <= 4 << 20
-    assert large <= 1.1 * small
-
-
 # ---------------------------------------------------------------------------
 # adiabatic evolution
 
@@ -594,10 +462,101 @@ def test_adiabatic_magnus_matches_rk4(drive, alpha):
     res = adiabatic_evolve(family, path, alpha, tol=1e-10,
                            gap_threshold=1e-3)
     dim = res.u.shape[0]
-    u_rk4, _ = propagate_linear_ode(
+    u_rk4, _ = propagate_linear_ode_dense(
         lambda s: (-1j / alpha) * family(path(s)), dim, 0.0, 1.0, tol=1e-10)
     assert np.abs(res.u - u_rk4).max() <= 1e-8
     assert np.abs(res.u.conj().T @ res.u - np.eye(dim)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 8, 64, 1024])
+@pytest.mark.parametrize("drive, alpha", [
+    (four_level_drive, 0.1), (four_level_drive, 0.01),
+    (avoided_crossing, 0.2), (random_drive, 0.25)])
+def test_magnus_blocks_equal_dense_route(monkeypatch, drive, alpha, chunk):
+    # four_level_drive at alpha = 0.01 converges at 2,048 steps, two blocks
+    # of the default size
+    family, path = drive(alpha)
+    h_of_s = lambda s: family(path(s))
+    monkeypatch.setattr(evolution, "_CHUNK", chunk)
+    u, steps = evolution._magnus_propagator(h_of_s, alpha, 1e-8, 1 << 20)
+    u_dense, steps_dense = magnus_dense(h_of_s, alpha, 1e-8, 1 << 20)
+    assert steps == steps_dense
+    assert u.tobytes() == u_dense.tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 8, 64])
+def test_magnus_any_step_count_keeps_the_tree(monkeypatch, chunk):
+    # tol = inf stops after one doubling, so each start gives the
+    # resolution 2 * start; step counts 2..138 against blocks of 1..64
+    family, path = random_drive(1.0)
+    h_of_s = lambda s: family(path(s))
+    monkeypatch.setattr(evolution, "_CHUNK", chunk)
+    for start in range(1, 70):
+        monkeypatch.setattr(evolution, "_MAGNUS_START_STEPS", start)
+        u, steps = evolution._magnus_propagator(h_of_s, 0.5, math.inf,
+                                                1 << 20)
+        u_dense, steps_dense = magnus_dense(h_of_s, 0.5, math.inf, 1 << 20,
+                                            start_steps=start)
+        assert steps == steps_dense == 2 * start
+        assert u.tobytes() == u_dense.tobytes(), start
+
+
+def test_adiabatic_step_underflow():
+    family, path = four_level_drive(1e-3)
+    with pytest.raises(NumericalError, match="step-size underflow"):
+        adiabatic_evolve(family, path, 1e-3, max_steps=64)
+
+
+@pytest.mark.parametrize("error", [ValidationError, NumericalError])
+def test_adiabatic_family_error_in_magnus_step_propagates(error):
+    # the quadrature and continuation grids are dyadic; the Gauss nodes of
+    # the Magnus steps are the first points that are not
+    refused = []
+
+    def family(g):
+        g = np.asarray(g, dtype=float)
+        if np.any(g * 2.0 ** 20 % 1.0):
+            refused.append(g)
+            raise error("family refuses")
+        return diag_two_level(g)
+
+    with pytest.raises(error, match="family refuses"):
+        adiabatic_evolve(family, lambda s: np.asarray(s, dtype=float), 0.5)
+    assert len(refused) == 1  # not re-run one point at a time
+
+
+def test_adiabatic_scalar_only_family():
+    # float(g) fails on the batch of nodes, so each node is sampled alone
+    res = adiabatic_evolve(lambda g: (1.0 + float(g)) * np.diag([0.0, 1.0]),
+                           lambda s: s, alpha=0.5, tol=1e-10)
+    u_exact = np.diag([1.0, np.exp(-1j * 1.5 / 0.5)])
+    assert np.abs(res.u - u_exact).max() <= 1e-9
+
+
+def _traced_peak_of_failed_run(max_steps):
+    # a jump at the non-dyadic s = 1/3 keeps the error O(h), so no
+    # resolution up to max_steps meets tol
+    h = np.array([[1.0, 0.5], [0.5, -1.0]], dtype=complex)
+
+    def h_of_s(s):
+        sign = np.where(np.asarray(s, dtype=float) < 1.0 / 3.0, 1.0, -1.0)
+        return sign[..., None, None] * h
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(NumericalError, match="step-size underflow"):
+            evolution._magnus_propagator(h_of_s, 1.0, 1e-12, max_steps)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_magnus_memory_is_bounded():
+    small = _traced_peak_of_failed_run(1 << 13)
+    large = _traced_peak_of_failed_run(1 << 17)
+    # every step unitary of the last resolution at once would be 8 MiB
+    assert large <= 4 << 20
+    assert large <= 1.1 * small
 
 
 def test_adiabatic_magnus_is_fourth_order():

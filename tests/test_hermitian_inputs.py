@@ -14,8 +14,8 @@ import pytest
 from qtoolkit.decoherence import (PerturbationEnsemble, average_density,
                                   commutator_superoperator)
 from qtoolkit.errors import NumericalError, ValidationError
-from qtoolkit.evolution import (EvolutionProblem, adiabatic_evolve,
-                                evolve_density, expm, heisenberg)
+from qtoolkit.evolution import (adiabatic_evolve, evolve_density, expm,
+                                heisenberg)
 from qtoolkit.fock import DensityMatrix, FockSpec, _hermitian
 from qtoolkit.geometry_gns import (AlgebraState, equivalence_quotient,
                                    induced_hamiltonian, moment_map)
@@ -44,7 +44,6 @@ _OPERATOR_INPUTS = {
     "gibbs_state": lambda m: gibbs_state(m, 1.0),
     "kms_check": lambda m: kms_check(m, m, m, 1.0, 0.5),
     "expm": lambda m: expm(m, 1.0),
-    "EvolutionProblem": lambda m: EvolutionProblem(m, 1.0),
     "adiabatic_evolve": lambda m: adiabatic_evolve(
         lambda g: m, lambda s: s, alpha=1.0, max_steps=2048),
     "endpoint_hamiltonian": lambda m: _ensemble(

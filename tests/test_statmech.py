@@ -9,6 +9,7 @@ import pytest
 
 from oracles import fermi_trace_fraction
 from qtoolkit.errors import ValidationError
+from qtoolkit.evolution import SymbolGrid, mehler_kernel
 from qtoolkit.statmech import (
     bose_gas_truncated_trace,
     energy_from_log_z,
@@ -56,6 +57,27 @@ def test_gibbs_requires_positive_beta_and_hermitian():
         gibbs_state(np.eye(2), beta=0.0)
     with pytest.raises(ValidationError):
         gibbs_state(np.array([[0.0, 1.0], [0.0, 0.0]]), beta=1.0)
+
+
+# Entry points taking an inverse temperature, each called with beta.
+_BETA_INPUTS = {
+    "gibbs_state": lambda beta: gibbs_state(np.diag([0.0, 1.0]), beta),
+    "free_gas": lambda beta: free_gas([0.0, 1.0], beta, "fermi"),
+    "mehler_kernel": lambda beta: mehler_kernel(SymbolGrid(8, 0.5), beta),
+    "kms_check": lambda beta: kms_check(np.diag([0.0, 1.0]), np.eye(2),
+                                        np.eye(2), beta, 0.0),
+    "fermi_gas_dual_route": lambda beta: fermi_gas_dual_route([0.0, 1.0],
+                                                              beta),
+}
+
+
+@pytest.mark.parametrize("beta", [math.inf, math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("name", list(_BETA_INPUTS))
+def test_beta_must_be_positive_and_finite(name, beta):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="positive and finite"):
+            _BETA_INPUTS[name](beta)
 
 
 def test_entropy_limits():
@@ -201,6 +223,19 @@ def test_fermi_dual_route_no_modes():
     assert res.z_product == res.z_trace == 1.0
     assert res.energy_product == res.energy_trace == 0.0
     assert res.occupations_product == res.occupations_trace == ()
+
+
+@pytest.mark.parametrize("call, reason", [
+    (lambda: free_gas([1.0, math.nan], 1.0, "fermi"), "finite"),
+    (lambda: fermi_gas_dual_route([1.0, -math.inf], 1.0), "finite"),
+    (lambda: bose_gas_truncated_trace([1.0], 1.0, [-1]), "cutoffs"),
+], ids=["free_gas-eps", "fermi_gas_dual_route-eps",
+        "bose_gas_truncated_trace-cutoff"])
+def test_gas_rejects_bad_mode_inputs(call, reason):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=reason):
+            call()
 
 
 def test_fermi_dual_route_rejects_large_m():
