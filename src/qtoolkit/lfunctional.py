@@ -571,9 +571,9 @@ def evolve_L(l0: TaylorLFunctional, h: NormalOrderedPolynomial, t: float,
     keys = _all_keys(l0.modes, l0.degree)
     gen = _evolution_generator(h, keys, l0.hbar)
     vec = np.array([l0.value(*key) for key in keys], dtype=complex)
-    import scipy.linalg  # deferred: importing it costs ~0.3 s at start-up
+    from .evolution import _expm_pade
 
-    slice_map = scipy.linalg.expm(gen * (t / steps))
+    slice_map = _expm_pade(gen * (t / steps))
     for _ in range(steps):
         vec = slice_map @ vec
     if not np.all(np.isfinite(vec)):

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .fock import (DensityMatrix, _hermitian, _require_finite,
                    _require_positive)
 
@@ -193,7 +193,10 @@ def fermi_gas_dual_route(eps: Sequence[float], beta: float) -> FermiDualRoute:
     m = len(eps)
     if m > 16:
         raise ValidationError("trace route is exponential; m <= 16 required")
-    f_double = [math.exp(-beta * e) for e in eps]
+    try:
+        f_double = [math.exp(-beta * e) for e in eps]
+    except OverflowError:
+        raise NumericalError("Boltzmann factor exceeds double range") from None
     f = [Fraction(fk) for fk in f_double]
     eps_frac = [Fraction(e) for e in eps]
 
@@ -288,10 +291,10 @@ def kms_check(h: np.ndarray, a: np.ndarray, b: np.ndarray, beta: float,
     """
     h = _hermitian(h, "hamiltonian")
     _require_positive(beta, "beta")
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != h.shape or b.shape != h.shape:
-        raise ValidationError("operator dimensions must match the hamiltonian")
+    if not math.isfinite(t):
+        raise ValidationError("time t must be finite")
+    a = _require_finite(a, "operator", h.shape)
+    b = _require_finite(b, "operator", h.shape)
     vals, vecs = np.linalg.eigh(h)
     shift = vals.min()
     w = np.exp(-beta * (vals - shift))

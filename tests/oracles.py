@@ -53,7 +53,7 @@ import numpy as np
 
 from qtoolkit.errors import NumericalError
 from qtoolkit.evolution import (_GAUSS_NODES, _MAGNUS_START_STEPS,
-                                _sample_matrices, _tree_product)
+                                _expm_pade, _sample_matrices, _tree_product)
 from qtoolkit.fock import (CommutationDefect, FockSpec, annihilation_matrix,
                            creation_matrix)
 from qtoolkit.weyl_clifford import NormalOrderedPolynomial
@@ -457,16 +457,14 @@ def phase_sums_full(phases: np.ndarray, weights=None) -> np.ndarray:
 
 def trotter_errors_alternating(factors, t: float, n_values) -> dict:
     """trotter_order's errors, each slice count's exponentials and
-    products formed in turn."""
-    import scipy.linalg
-
+    products formed in turn, by the package's exponential."""
     mats = [np.asarray(f, dtype=complex) for f in factors]
-    exact = scipy.linalg.expm(t * sum(mats))
+    exact = _expm_pade(t * sum(mats))
     errors = {}
     for n in n_values:
         step = np.eye(exact.shape[0], dtype=complex)
         for m in mats:
-            step = step @ scipy.linalg.expm((t / n) * m)
+            step = step @ _expm_pade((t / n) * m)
         approx = np.linalg.matrix_power(step, n)
         errors[int(n)] = float(np.linalg.norm(approx - exact))
     return errors

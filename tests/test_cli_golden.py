@@ -22,11 +22,11 @@ import io
 import json
 import os
 import platform
+import subprocess
 import sys
 
 import numpy as np
 import pytest
-import scipy
 
 from qtoolkit import cli
 
@@ -100,9 +100,7 @@ def stack() -> dict:
         "python": platform.python_version(),
         "machine": platform.machine(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "numpy_blas": _blas(np.show_config),
-        "scipy_blas": _blas(scipy.show_config),
         "cpu_features": sorted(k for k, v in __cpu_features__.items() if v),
     }
 
@@ -189,6 +187,42 @@ def test_payload_comparison_tolerance():
     assert close({"a": [1.0, 2e-17], "b": 123456.0, "ok": True}, want)
     assert close({"a": [1.0, 2e-17, "y"], "b": 123456.0, "ok": 1}, want)
     assert close({"a": [1.0, 2e-17, "x"], "ok": True}, want)
+
+
+def runtime_outputs() -> dict:
+    """The sha256 of every argv's stdout, and the bytes of a Trotter
+    product and of an L-functional evolution: the paths that exponentiate
+    general matrices."""
+    from qtoolkit.evolution import trotter_slices
+    from qtoolkit.lfunctional import coherent_lfunctional, evolve_L
+    from qtoolkit.weyl_clifford import poly
+
+    factors = [np.diag([1.0, -0.5, 0.25]), np.ones((3, 3)) - 2j * np.eye(3)]
+    h = poly("bose", 1, {((1,), (1,)): 1.1, ((2,), (0,)): 0.3,
+                         ((0,), (2,)): 0.3})
+    moved = evolve_L(coherent_lfunctional([0.3 - 0.4j], degree=4), h, 0.9,
+                     steps=3)
+    return {
+        "stdout": [hashlib.sha256(stdout_of(argv)).hexdigest()
+                   for argv in ARGVS],
+        "trotter_slices": trotter_slices(factors, 0.7, 9).tobytes().hex(),
+        "evolve_L": [[repr(key), v.real.hex(), v.imag.hex()]
+                     for key, v in moved.correlations.items()],
+    }
+
+
+def test_no_runtime_path_needs_scipy():
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    script = ("import json, sys\n"
+              "sys.modules['scipy'] = None\n"
+              f"sys.path[:0] = [{here!r}, {src!r}]\n"
+              "import test_cli_golden\n"
+              "print(json.dumps(test_cli_golden.runtime_outputs()))\n")
+    child = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                           text=True)
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == runtime_outputs()
 
 
 def write() -> None:

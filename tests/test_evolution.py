@@ -3,7 +3,9 @@
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -140,6 +142,8 @@ def test_trotter_dimension_mismatch():
         trotter_slices([np.eye(2), np.eye(3)], 1.0, 4)
     with pytest.raises(ValidationError):
         trotter_slices([np.eye(2)], 1.0, 0)
+    with pytest.raises(ValidationError, match="nonempty"):
+        trotter_slices([np.zeros((0, 0))] * 2, 1.0, 4)
 
 
 def oscillator_factors(cutoff):
@@ -182,12 +186,13 @@ def test_trotter_order_errors_equal_alternating_route_random(rng):
     ([np.eye(2)], math.nan, [4, 8], "finite"),
     ([np.eye(2)], 1.0, [0, 8], ">= 1"),
     ([np.eye(2)], 1.0, [-4, 8], ">= 1"),
+    ([np.zeros((0, 0))] * 2, 1.0, [4, 8], "nonempty"),
 ])
 def test_trotter_order_validates_before_any_exponential(
         monkeypatch, factors, t, n_values, match):
     def refuse(*args, **kwargs):
         raise AssertionError("expm called before validation")
-    monkeypatch.setattr(scipy.linalg, "expm", refuse)
+    monkeypatch.setattr(evolution, "_expm_pade", refuse)
     with pytest.raises(ValidationError, match=match):
         trotter_order(factors, t, n_values)
 
@@ -195,7 +200,7 @@ def test_trotter_order_validates_before_any_exponential(
 def test_trotter_rejects_overflowing_time_without_warnings(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("expm called before validation")
-    monkeypatch.setattr(scipy.linalg, "expm", refuse)
+    monkeypatch.setattr(evolution, "_expm_pade", refuse)
     big = [1e300 * np.eye(2), np.eye(2)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -208,6 +213,92 @@ def test_trotter_rejects_overflowing_time_without_warnings(monkeypatch):
 def test_trotter_slices_rejects_infinite_time():
     with pytest.raises(ValidationError, match="finite"):
         trotter_slices([np.eye(2)], math.inf, 4)
+
+
+# ---------------------------------------------------------------------------
+# the general matrix exponential of the Trotter factors
+
+
+def _unit_complex(rng, n):
+    """An n x n complex Gaussian matrix over sqrt(n): spectral radius near
+    1 at every n."""
+    return (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            ) / math.sqrt(n)
+
+
+def _relative(got, want) -> float:
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 20, 41, 64, 129])
+def test_expm_pade_matches_scipy(rng, n):
+    # 1-norms 0.01, 0.2, 0.9, 2 and 5 select Padé degrees 3, 5, 7, 9 and
+    # 13 unscaled; the larger entry scales need squaring
+    z = _unit_complex(rng, n)
+    for a, top in ((z, 30.0), (z - z.conj().T, 30.0), (np.triu(z), 10.0)):
+        norm = np.abs(a).sum(axis=0).max()
+        inputs = [a * (x / norm) for x in (0.01, 0.2, 0.9, 2.0, 5.0)]
+        for m in inputs + [a, 3.0 * a, top * a]:
+            assert _relative(evolution._expm_pade(m),
+                             scipy.linalg.expm(m)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 8, 33])
+def test_expm_pade_of_large_anti_hermitian_matches_eigen_route(rng, n):
+    h = random_hermitian(rng, n, 1.0 / math.sqrt(n))
+    for t in (1e2, 1e3, 1e4):
+        a = -1j * t * h
+        # both routes err by about ||tH|| eps: the eigen route in its
+        # phases, the Padé route in its squarings
+        bound = 10.0 * np.finfo(float).eps * np.abs(a).sum(axis=0).max()
+        assert _relative(evolution._expm_pade(a), expm(h, t)) <= bound
+
+
+def _nilpotent_exponential(m):
+    """e^N of a strictly upper triangular integer matrix N by its finite
+    series sum_{k<n} N^k / k!, exact in integers and rounded once."""
+    n = len(m)
+    ints = m.astype(np.int64).astype(object)
+    scale = math.factorial(n - 1)
+    term = np.eye(n, dtype=np.int64).astype(object)
+    total = term * scale
+    for k in range(1, n):
+        term = term.dot(ints)
+        total = total + term * (scale // math.factorial(k))
+    return np.array([[float(Fraction(x, scale)) for x in row]
+                     for row in total])
+
+
+# Large nilpotent and triangular inputs: here scipy.linalg.expm is the
+# inaccurate side (about 1e-5 relative on the n = 20 nilpotent case), so
+# the references are exact or in 40 digits.
+@pytest.mark.parametrize("n", [2, 5, 20, 64])
+def test_expm_pade_of_nilpotent_matches_exact_series(rng, n):
+    m = np.triu(rng.integers(-300, 301, size=(n, n)), 1).astype(float)
+    assert _relative(evolution._expm_pade(m),
+                     _nilpotent_exponential(m)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 8, 20])
+def test_expm_pade_of_triangular_matches_mpmath(rng, n):
+    m = np.triu(rng.uniform(-300.0, 300.0, size=(n, n)))
+    with mpmath.workdps(40):
+        want = np.array(mpmath.expm(mpmath.matrix(m.tolist())).tolist(),
+                        dtype=float)
+    assert _relative(evolution._expm_pade(m), want) <= 1e-12
+
+
+@pytest.mark.parametrize("a, match", [
+    (np.array([[math.nan, 0.0], [0.0, 1.0]]), "beyond double range"),
+    (np.array([[math.inf, 0.0], [0.0, 1.0]]), "beyond double range"),
+    (np.full((2, 2), 1e308), "beyond double range"),
+    (np.array([[800.0]]), "overflows double range"),
+])
+def test_expm_pade_non_finite_is_numerical_error_without_warnings(a, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=match):
+            evolution._expm_pade(a)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import fermi_trace_fraction
-from qtoolkit.errors import ValidationError
+from qtoolkit.errors import NumericalError, ValidationError
 from qtoolkit.evolution import SymbolGrid, mehler_kernel
 from qtoolkit.statmech import (
     bose_gas_truncated_trace,
@@ -238,6 +238,11 @@ def test_gas_rejects_bad_mode_inputs(call, reason):
             call()
 
 
+def test_fermi_dual_route_overflowing_factor_is_numerical_error():
+    with pytest.raises(NumericalError, match="double range"):
+        fermi_gas_dual_route([-1000.0], 1.0)
+
+
 def test_fermi_dual_route_rejects_large_m():
     with pytest.raises(ValidationError):
         fermi_gas_dual_route([1.0] * 17, beta=1.0)
@@ -282,6 +287,22 @@ def test_kms_at_zero_time_reduces_to_detailed_balance(rng):
 def test_kms_dimension_mismatch():
     with pytest.raises(ValidationError):
         kms_check(np.eye(2), np.eye(3), np.eye(2), beta=1.0, t=0.0)
+
+
+_NAN_OP = np.array([[math.nan, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("a, b, t, reason", [
+    (np.eye(2), np.eye(2), math.nan, "finite"),
+    (np.eye(2), np.eye(2), math.inf, "finite"),
+    (_NAN_OP, np.eye(2), 0.5, "non-finite"),
+    (np.eye(2), _NAN_OP, 0.5, "non-finite"),
+], ids=["t-nan", "t-inf", "a-nan", "b-nan"])
+def test_kms_rejects_non_finite_time_and_operators(a, b, t, reason):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=reason):
+            kms_check(np.diag([0.0, 1.0]), a, b, 1.0, t)
 
 
 # ---------------------------------------------------------------------------
