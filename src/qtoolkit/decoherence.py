@@ -45,6 +45,19 @@ __all__ = [
 _CHUNK = 65536
 
 
+def _require_int(value, what: str, low: int = 1,
+                 bits: int | None = None) -> int:
+    """The one rule for counts and seeds: an integer (a bool is not one)
+    with low <= value, and value < 2**bits when bits is given."""
+    n = (int(value) if isinstance(value, (int, np.integer))
+         and not isinstance(value, bool) else None)
+    if n is None or n < low or (bits is not None and n >> bits):
+        bound = f">= {low}" if bits is None else f"in [{low}, 2**{bits})"
+        raise ValidationError(f"{what} must be an integer {bound}, "
+                              f"got {value!r}")
+    return n
+
+
 def default_threads() -> int:
     value = os.environ.get("QTOOLKIT_THREADS", "1")
     try:
@@ -52,9 +65,7 @@ def default_threads() -> int:
     except ValueError as exc:
         raise ValidationError(f"QTOOLKIT_THREADS must be an integer, "
                               f"got {value!r}") from exc
-    if n < 1:
-        raise ValidationError("thread count must be >= 1")
-    return n
+    return _require_int(n, "thread count")
 
 
 @dataclass(frozen=True)
@@ -81,8 +92,10 @@ class PerturbationEnsemble:
     def __post_init__(self):
         _require_positive(self.alpha, "alpha")
         _require_positive(self.hbar, "hbar")
-        if self.trials < 1:
-            raise ValidationError("trials must be >= 1")
+        object.__setattr__(self, "trials", _require_int(self.trials,
+                                                        "trials"))
+        object.__setattr__(self, "seed", _require_int(self.seed, "seed", 0,
+                                                      128))
         if self.lam_samples is not None:
             if len(self.lam_samples) == 0:
                 raise ValidationError("lam_samples must be nonempty")
@@ -90,6 +103,12 @@ class PerturbationEnsemble:
                                tuple(float(x) for x in self.lam_samples))
         elif self.lam_high < self.lam_low:
             raise ValidationError("need lam_high >= lam_low")
+        lams = (self.lam_low, self.lam_high) + (self.lam_samples or ())
+        lo, hi = self._window()
+        # uniform sampling and the table nodes both take hi - lo
+        if not all(math.isfinite(x) for x in lams + (hi - lo,)):
+            raise ValidationError("lambda values and the width of their "
+                                  "window must be finite")
         for s_end in (0.0, 1.0):
             g = float(np.asarray(self.path(s_end)))
             if abs(g) > 1e-12:
@@ -100,6 +119,12 @@ class PerturbationEnsemble:
     def dim(self) -> int:
         probe = np.asarray(self.family(self._lam_ref(), 0.0))
         return probe.shape[0]
+
+    def _window(self) -> tuple[float, float]:
+        """The smallest and largest lambda the distribution can draw."""
+        if self.lam_samples is not None:
+            return min(self.lam_samples), max(self.lam_samples)
+        return self.lam_low, self.lam_high
 
     def _lam_ref(self) -> float:
         if self.lam_samples is not None:
@@ -152,7 +177,15 @@ class _PhaseTable:
     """Barycentric Chebyshev interpolant of the per-level phase integrals.
 
     Exact for phases polynomial in lambda up to the node count; the node
-    count doubles until three probe points reproduce direct quadrature.
+    count doubles until three probe points reproduce direct quadrature
+    (Berrut & Trefethen, SIAM Review 46, 501 (2004)).
+
+    A lambda within 1e-14 of a node takes that node's values.  Those
+    columns are found from each lambda's two neighbours in the sorted
+    nodes: correctly rounded lambda - x is monotone in x, so the smallest
+    |lambda - x_k| always falls at a neighbour, and the neighbour test
+    finds the same columns as testing every node, with the same
+    difference.  Only those columns, usually none, are snapped.
     """
 
     def __init__(self, ensemble: PerturbationEnsemble, lo: float, hi: float):
@@ -188,14 +221,24 @@ class _PhaseTable:
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
         if self.constant is not None:
             return np.repeat(self.constant[:, None], len(lam), axis=1)
+        ascending = self.nodes[::-1]
+        pos = np.searchsorted(ascending, lam).clip(1, len(ascending) - 1)
+        gap = np.minimum(np.abs(lam - ascending[pos - 1]),
+                         np.abs(lam - ascending[pos]))
+        cols = np.flatnonzero(gap < 1e-14)
         w = lam[None, :] - self.nodes[:, None]
-        hit = np.abs(w) < 1e-14
-        w[hit] = 1.0
+        snapped = w[:, cols]
+        hit = np.abs(snapped) < 1e-14
+        snapped[hit] = 1.0
+        w[:, cols] = snapped
         np.divide(self.weights[:, None], w, out=w)
         out = self.values @ w
-        out /= w.sum(axis=0)
-        exact = hit.any(axis=0)
-        out[:, exact] = self.values[:, hit.argmax(axis=0)[exact]]
+        denom = w.sum(axis=0)
+        # the hit columns are overwritten below; several nodes within 1e-14
+        # of one lambda can sum to zero there
+        denom[cols] = 1.0
+        out /= denom
+        out[:, cols] = self.values[:, hit.argmax(axis=0)]
         return out
 
 
@@ -240,12 +283,13 @@ def _phase_sums(phases: np.ndarray, weights: np.ndarray | None = None
     """
     levels, trials = phases.shape
     upper = np.triu_indices(levels, 1)
-    terms = np.exp(-1j * (phases[upper[0]] - phases[upper[1]]))
+    terms = -1j * (phases[upper[0]] - phases[upper[1]])
+    np.exp(terms, out=terms)
     # the weights sum as complex numbers, as the terms do: a real sum of
     # the same weights can differ in the last bits
     total = trials if weights is None else weights.astype(complex).sum()
     if weights is not None:
-        terms = terms * weights
+        terms *= weights
     sums = np.diag(np.full(levels, total, dtype=complex))
     sums[upper] = terms.sum(axis=1)
     sums[upper[::-1]] = sums[upper].conj()
@@ -307,8 +351,9 @@ def average_density(ensemble: PerturbationEnsemble,
     alongside and must agree with quadrature within 5 standard errors
     (they are expected to agree within 3).
     """
-    if threads is None:
-        threads = default_threads()
+    threads = (default_threads() if threads is None
+               else _require_int(threads, "threads"))
+    quad_nodes = _require_int(quad_nodes, "quad_nodes")
     k0 = k0 if isinstance(k0, DensityMatrix) else DensityMatrix(k0)
     h0 = ensemble.endpoint_hamiltonian()
     if h0.shape != k0.matrix.shape:
@@ -316,11 +361,7 @@ def average_density(ensemble: PerturbationEnsemble,
     _, vecs = np.linalg.eigh(h0)
     k_eig = vecs.conj().T @ k0.matrix @ vecs
 
-    if ensemble.lam_samples is not None:
-        lo = min(ensemble.lam_samples)
-        hi = max(ensemble.lam_samples)
-    else:
-        lo, hi = ensemble.lam_low, ensemble.lam_high
+    lo, hi = ensemble._window()
     table = _PhaseTable(ensemble, lo, hi)
 
     # quadrature estimate of the phase average

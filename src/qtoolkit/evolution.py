@@ -512,15 +512,17 @@ def _simpson_eigen_traces(h_of_s: Callable, dim: int, tol: float = 1e-12,
 
     Composite quadrature with interval doubling until the per-level result
     is stable; returns the integral vector and the minimum spectral gap
-    seen at the finest sampling.
+    seen at the finest sampling.  The grids are dyadic, so the points of
+    one level are the even points of the next bit for bit: each level
+    samples and diagonalises only its odd points and interleaves their
+    eigenvalues with those already held.
     """
     level = 6
+    m = 1 << level
+    vals = np.linalg.eigvalsh(
+        _sample_matrices(h_of_s, np.linspace(0.0, 1.0, m + 1), dim))
     prev = None
     while True:
-        m = 1 << level
-        s = np.linspace(0.0, 1.0, m + 1)
-        hs = _sample_matrices(h_of_s, s, dim)
-        vals = np.linalg.eigvalsh(hs)
         gaps = np.diff(vals, axis=1)
         min_gap = float(gaps.min()) if dim > 1 else math.inf
         w = np.ones(m + 1)
@@ -535,6 +537,12 @@ def _simpson_eigen_traces(h_of_s: Callable, dim: int, tol: float = 1e-12,
             return integ, min_gap
         prev = integ
         level += 1
+        m = 1 << level
+        fine = np.empty((m + 1, dim))
+        fine[0::2] = vals
+        fine[1::2] = np.linalg.eigvalsh(_sample_matrices(
+            h_of_s, np.linspace(0.0, 1.0, m + 1)[1::2], dim))
+        vals = fine
 
 
 def _gapped_family(fn: Callable, dim: int, gap_threshold: float,

@@ -34,7 +34,11 @@ function; src exponentiates each distinct frequency once and gathers the
 columns.  `hbar_sweep_loop` integrates the classical lattice flow and each
 hbar flow by an RK4 run of its own; src stacks them in one run.
 `phase_table_eval` is the barycentric formula of the decoherence phase
-table with a fresh temporary per step; src reuses one buffer.
+table with a fresh temporary per step, testing every node for a hit; src
+reuses one buffer and tests only each lambda's two neighbouring nodes.
+`simpson_eigen_traces_fresh` samples and diagonalises every point of
+each Simpson level afresh; src samples only the odd points of each finer
+level.
 
 `evolution_generator_branches` is the von Neumann generator on
 correlation coefficients derived by hand, one branch per term shape
@@ -525,12 +529,41 @@ def phase_table_eval(table, lam) -> np.ndarray:
     w = table.weights[:, None] / diff
     numer = table.values @ w
     denom = w.sum(axis=0)
-    out = numer / denom
+    # several nodes can hit one lambda and cancel in its column sum; the
+    # hit columns are overwritten below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = numer / denom
     if hit.any():
         idx = np.argmax(hit, axis=0)
         exact = hit.any(axis=0)
         out[:, exact] = table.values[:, idx[exact]]
     return out
+
+
+def simpson_eigen_traces_fresh(h_of_s, dim: int, tol: float = 1e-12,
+                               max_level: int = 14):
+    """(integrals, min_gap) of `evolution._simpson_eigen_traces`, every
+    point of each level sampled and diagonalised afresh."""
+    level = 6
+    prev = None
+    while True:
+        m = 1 << level
+        s = np.linspace(0.0, 1.0, m + 1)
+        vals = np.linalg.eigvalsh(_sample_matrices(h_of_s, s, dim))
+        min_gap = (float(np.diff(vals, axis=1).min()) if dim > 1
+                   else math.inf)
+        w = np.ones(m + 1)
+        w[1:-1:2] = 4.0
+        w[2:-1:2] = 2.0
+        integ = (w[:, None] * vals).sum(axis=0) / (3.0 * m)
+        if prev is not None:
+            scale = max(1.0, float(np.abs(integ).max()))
+            if float(np.abs(integ - prev).max()) <= tol * scale:
+                return integ, min_gap
+        if level == max_level:
+            return integ, min_gap
+        prev = integ
+        level += 1
 
 
 def _shift(idx: tuple, k: int, by: int):

@@ -492,7 +492,8 @@ _FLAGS = {
     ("decohere", "sweep"): {
         "--alpha": _float_list(st.sampled_from(
             ["0", "-1", "0.2", "0.5", "1", "nan", "inf"])),
-        "--lam": _FLOAT, "--trials": _int(-1, 32)},
+        "--lam": st.one_of(_FLOAT, st.just("1e-15")),
+        "--trials": _int(-1, 32)},
     ("lfunc", "green"): {
         "--n": _FLOAT, "--eps": _FLOAT,
         "--window": st.sampled_from(["0", "-1", "5", "20", "1e15", "1e300",
@@ -554,3 +555,11 @@ class TestArgvFuzz:
             diagnostic = json.loads(err.splitlines()[-1])
             assert diagnostic["error"] == ("validation" if code == 2
                                            else "numerical")
+
+    @pytest.mark.parametrize("lam", ["1e-15", "3e-15"])
+    def test_narrow_lambda_window_is_silent(self, lam):
+        # several phase-table nodes lie within the 1e-14 snap of each lambda
+        code, out, err, caught = _run_captured(
+            ["decohere", "sweep", "--trials", "1000", "--lam", lam])
+        assert (code, err, caught) == (0, "", [])
+        assert json.loads(out)["lam_window"] == [-float(lam), float(lam)]

@@ -81,6 +81,9 @@ ARGVS = [
      "--window", "12", "--dt", "0.03", "--format", "csv"],
     ["lfunc", "sweep", "--hbars", "0.3,0.05,0.01,1e-4", "--t", "0.93",
      "--steps", "33"],
+    # a lambda window narrower than the node-hit tolerance: several nodes
+    # hit each sample
+    ["decohere", "sweep", "--trials", "1000", "--lam", "1e-15"],
 ]
 
 

@@ -2,13 +2,16 @@
 
 import dataclasses
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import random_density
-from oracles import phase_sums_full, phase_table_eval
-from qtoolkit import decoherence
+from oracles import (phase_sums_full, phase_table_eval,
+                     simpson_eigen_traces_fresh)
+from qtoolkit import decoherence, evolution
 from qtoolkit.decoherence import (
     BornReport,
     PerturbationEnsemble,
@@ -112,6 +115,34 @@ def test_ensemble_validation():
         make_ensemble(path=lambda s: np.asarray(s) + 1.0)
     with pytest.raises(ValidationError):
         make_ensemble(lam_low=1.0, lam_high=0.0)
+
+
+@pytest.mark.parametrize("kw", [
+    dict(lam_samples=(0.1, math.nan)), dict(lam_samples=(0.1, math.inf)),
+    dict(lam_high=math.inf), dict(lam_low=-math.inf),
+    dict(lam_low=math.nan), dict(lam_low=-1e308, lam_high=1e308),
+    dict(lam_samples=(-1e308, 1e308)), dict(trials=100.5),
+    dict(trials=True), dict(seed=-1), dict(seed=2 ** 200),
+    dict(seed=2 ** 128), dict(seed=1.0), dict(seed=True)])
+def test_ensemble_input_rule(kw):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError):
+            make_ensemble(**kw)
+
+
+def test_ensemble_input_rule_accepts_numpy_integers_and_wide_seeds():
+    ens = make_ensemble(trials=np.int64(64), seed=np.uint64(2 ** 64 - 1))
+    assert (type(ens.trials), type(ens.seed)) == (int, int)
+    assert make_ensemble(seed=2 ** 128 - 1).seed == 2 ** 128 - 1
+
+
+@pytest.mark.parametrize("kw", [
+    dict(threads=0), dict(threads=-1), dict(threads=2.5), dict(threads=True),
+    dict(quad_nodes=0), dict(quad_nodes=-3), dict(quad_nodes=2.5)])
+def test_average_density_input_rule(kw):
+    with pytest.raises(ValidationError):
+        average_density(make_ensemble(trials=64), plus_state(), **kw)
 
 
 def test_ensemble_dimension_is_probed_once():
@@ -242,6 +273,122 @@ def test_phase_table_equals_fresh_temporaries(d, freq, nodes):
     assert table(lam).tobytes() == table.values[:, ::-1].tobytes()
     flat = decoherence._PhaseTable(ens, 0.1, 0.1)
     assert flat(lam).tobytes() == phase_table_eval(flat, lam).tobytes()
+
+
+def assert_table_equals_full_mask(table, lam):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = table(lam)
+    assert got.tobytes() == phase_table_eval(table, lam).tobytes()
+
+
+def node_hits(table, lam):
+    """Per lambda, the number of nodes within the 1e-14 snap."""
+    return (np.abs(lam[None, :] - table.nodes[:, None]) < 1e-14).sum(axis=0)
+
+
+def test_phase_table_hit_columns_equal_full_mask():
+    ens = make_ensemble(family=sine_drive(3, 1), alpha=0.05)
+    table = decoherence._PhaseTable(ens, -0.3, 0.3)
+    nodes = table.nodes
+    rng = np.random.default_rng(np.random.Philox(19))
+    # no hit at all
+    for size in (1, 2, 33, 5000):
+        lam = rng.uniform(-0.3, 0.3, size)
+        assert not node_hits(table, lam).any()
+        assert_table_equals_full_mask(table, lam)
+    # on both sides of every node, just inside and just outside the snap
+    lam = np.concatenate([nodes + 0.9e-14, nodes - 1.1e-14,
+                          nodes - 0.9e-14, nodes + 1.1e-14,
+                          rng.uniform(-0.3, 0.3, 50)])
+    assert (node_hits(table, lam)[:4 * 33]
+            == np.repeat([1, 0, 1, 0], 33)).all()
+    assert_table_equals_full_mask(table, lam)
+    # beyond the window, and at both end nodes
+    lam = np.array([-0.3 - 1e-3, -7.0, 0.3 + 1e-3, 7.0, nodes[0], nodes[-1],
+                    -0.3, 0.3, nodes[0] + 1.1e-14, nodes[-1] - 1.1e-14])
+    assert_table_equals_full_mask(table, lam)
+    # every node at once
+    order = rng.permutation(33)
+    assert (node_hits(table, nodes[order]) == 1).all()
+    assert_table_equals_full_mask(table, nodes[order])
+    assert table(nodes[order]).tobytes() == np.ascontiguousarray(
+        table.values[:, order]).tobytes()
+
+
+def test_phase_table_narrow_window_snaps_without_warnings():
+    # hi - lo = 2e-15: several nodes hit every lambda, and their weights
+    # can cancel in the column sum
+    ens = make_ensemble(family=sine_drive(3, 1), alpha=0.05)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = decoherence._PhaseTable(ens, -1e-15, 1e-15)
+    rng = np.random.default_rng(np.random.Philox(23))
+    lam = np.concatenate([rng.uniform(-1e-15, 1e-15, 1000), table.nodes,
+                          [-3e-14, 3e-14]])
+    assert (node_hits(table, lam)[:-2] > 1).all()
+    assert_table_equals_full_mask(table, lam)
+
+
+def test_phase_table_call_peak_memory():
+    # the (nodes x lambdas) buffer of the barycentric formula is the one
+    # large array of a call; the hit test adds O(lambdas)
+    ens = make_ensemble(family=sine_drive(3, 1), alpha=0.05)
+    table = decoherence._PhaseTable(ens, -0.3, 0.3)
+    assert len(table.nodes) == 33
+    lam = np.random.default_rng(np.random.Philox(5)).uniform(-0.3, 0.3,
+                                                             65536)
+    lam[::4096] = table.nodes[:16]
+    table(lam)
+    tracemalloc.start()
+    try:
+        table(lam)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.35 * (33 * 65536 * 8), peak
+
+
+def test_thread_count_byte_identical_with_node_hits(monkeypatch):
+    # the samples are table nodes, so every chunk of 1000 draws hits
+    nodes = decoherence._PhaseTable(
+        make_ensemble(family=sine_drive(3, 1), alpha=0.05), -0.3, 0.3).nodes
+    samples = (-0.3, 0.3) + tuple(nodes[1:-1:3]) + (0.05, -0.17)
+    ens = make_ensemble(family=sine_drive(3, 1), alpha=0.05,
+                        lam_samples=samples, trials=5001, seed=4)
+    k0 = random_density(np.random.default_rng(np.random.Philox(8)), 3)
+    monkeypatch.setattr(decoherence, "_CHUNK", 1000)
+    reports = [average_density(ens, k0, threads=t) for t in (1, 2, 3)]
+    monkeypatch.setattr(decoherence._PhaseTable, "__call__",
+                        phase_table_eval)
+    reports.append(average_density(ens, k0, threads=1))
+    for field in dataclasses.fields(BornReport):
+        got = {np.asarray(getattr(r, field.name)).tobytes() for r in reports}
+        assert len(got) == 1, field.name
+
+
+@pytest.mark.parametrize("d, freq", [(1, 1), (3, 1), (3, 60), (2, 150)])
+def test_simpson_samples_each_point_once(d, freq):
+    seen = []
+
+    def path(s):
+        seen.append(np.atleast_1d(np.asarray(s, dtype=float)).copy())
+        return bump_path(s)
+
+    family = sine_drive(d, freq)
+    ens = make_ensemble(family=family, path=path, alpha=0.05)
+    for lam in (-0.3, 0.1, 0.3):
+        seen.clear()
+        got = decoherence._level_integrals(ens, lam)
+        s = np.concatenate(seen)
+        assert len(s) > 129
+        assert np.sort(s).tobytes() == np.linspace(0.0, 1.0,
+                                                   len(s)).tobytes()
+        h_of_s, _, min_gap = evolution._gapped_family(
+            lambda x, lam=lam: family(lam, bump_path(x)), d, 0.0)
+        want, want_gap = simpson_eigen_traces_fresh(h_of_s, d)
+        assert got.tobytes() == want.tobytes()
+        assert min_gap == want_gap
 
 
 def level_drive(d, rng):
