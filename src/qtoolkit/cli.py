@@ -18,41 +18,15 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import (NumericalError, ValidationError, _require_finite,
+                     _require_int, _require_positive)
 from .serialize import (complex_pair, matrix_from_json, to_csv_bytes,
                         to_json_bytes)
 
-__all__ = ["RunConfig", "run", "main", "emit"]
-
-_SUBCOMMANDS = ("fock", "weyl", "grassmann", "evolve", "decohere", "lfunc",
-                "statmech", "gns")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Common plumbing shared by every subcommand."""
-
-    subcommand: str
-    action: str
-    seed: int = 0
-    out: str | None = None
-    fmt: str = "json"
-    tol: float | None = None
-    threads: int | None = None
-
-    def __post_init__(self):
-        if self.subcommand not in _SUBCOMMANDS:
-            raise ValidationError(f"unknown subcommand {self.subcommand!r}")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValidationError("seed must fit in 64 unsigned bits")
-        if self.fmt not in ("json", "csv"):
-            raise ValidationError(f"unknown format {self.fmt!r}")
-        if self.threads is not None and self.threads < 1:
-            raise ValidationError("thread count must be >= 1")
+__all__ = ["run", "main", "emit"]
 
 
 def emit(payload: dict, fmt: str, header=None, rows=None) -> bytes:
@@ -133,16 +107,14 @@ def _json_matrix(text: str) -> np.ndarray:
         m = matrix_from_json(json.loads(text))
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad inline JSON matrix: {exc}") from exc
-    if not np.all(np.isfinite(m)):
-        raise ValidationError("inline JSON matrix has non-finite entries")
-    return m
+    return _require_finite(m, "inline JSON matrix")
 
 
 # ---------------------------------------------------------------------------
 # per-module handlers; each returns (payload, csv_header, csv_rows)
 
 
-def _cmd_fock_spectrum(args, cfg):
+def _cmd_fock_spectrum(args):
     from .fock import FockSpec, quadratic_hamiltonian, \
         quadratic_hamiltonian_diagonal
 
@@ -166,7 +138,7 @@ def _cmd_fock_spectrum(args, cfg):
     return payload, ("index", "eigenvalue", "occupation_energy"), rows
 
 
-def _cmd_fock_poisson(args, cfg):
+def _cmd_fock_poisson(args):
     from .fock import FockSpec, poisson_eigen_defect
 
     spec = _dense_spec(FockSpec(statistics="bose",
@@ -185,12 +157,12 @@ def _cmd_fock_poisson(args, cfg):
     return payload, ("mode", "defect", "tail_bound"), rows
 
 
-def _cmd_weyl_check(args, cfg):
+def _cmd_weyl_check(args):
     from .weyl_clifford import poly, product
 
     if args.modes < 1 or args.trials < 0 or args.terms < 0:
         raise ValidationError("need --modes >= 1, --trials >= 0, --terms >= 0")
-    rng = np.random.default_rng(np.random.Philox(cfg.seed))
+    rng = np.random.default_rng(np.random.Philox(args.seed))
     modes = args.modes
     rows = []
     worst = 0.0
@@ -230,7 +202,7 @@ def _cmd_weyl_check(args, cfg):
     return payload, ("trial", "associativity_defect"), rows
 
 
-def _cmd_grassmann_eval(args, cfg):
+def _cmd_grassmann_eval(args):
     from .grassmann import berezin_integral, format_element, parse_expression
 
     element = parse_expression(args.expression, n=args.modes)
@@ -244,7 +216,7 @@ def _cmd_grassmann_eval(args, cfg):
     return payload, ("result",), rows
 
 
-def _cmd_evolve_trotter(args, cfg):
+def _cmd_evolve_trotter(args):
     from .evolution import trotter_order
     from .fock import FockSpec
     from .weyl_clifford import canonical_quadratures
@@ -260,7 +232,7 @@ def _cmd_evolve_trotter(args, cfg):
         "errors": {str(n): e for n, e in report.errors.items()},
         "order": report.order,
         "expected_order": 1.0,
-        "tolerance": 0.2 if cfg.tol is None else cfg.tol,
+        "tolerance": 0.2 if args.tol is None else args.tol,
     }
     if abs(report.order - 1.0) > payload["tolerance"]:
         raise NumericalError(
@@ -287,7 +259,7 @@ def _default_two_level():
     return family, path
 
 
-def _cmd_decohere_sweep(args, cfg):
+def _cmd_decohere_sweep(args):
     from .decoherence import PerturbationEnsemble, average_density
 
     family, path = _default_two_level()
@@ -298,8 +270,8 @@ def _cmd_decohere_sweep(args, cfg):
         ensemble = PerturbationEnsemble(
             family=family, path=path, alpha=alpha,
             lam_low=-args.lam, lam_high=args.lam,
-            trials=args.trials, seed=cfg.seed)
-        report = average_density(ensemble, k0, threads=cfg.threads)
+            trials=args.trials, seed=args.seed)
+        report = average_density(ensemble, k0, threads=args.threads)
         stderr = float(np.max(report.mc_stderr - np.diag(
             np.diag(report.mc_stderr))))
         rows.append((alpha, report.offdiag_norm, stderr))
@@ -312,19 +284,18 @@ def _cmd_decohere_sweep(args, cfg):
     payload = {
         "model": "two-level bump drive, uniform perturbation",
         "lam_window": [-args.lam, args.lam],
-        "seed": cfg.seed,
+        "seed": args.seed,
         "results": entries,
     }
     return payload, ("alpha", "offdiag_norm", "mc_stderr"), rows
 
 
-def _cmd_lfunc_green(args, cfg):
+def _cmd_lfunc_green(args):
     from .lfunctional import two_point_green
 
     if args.n <= 0:
         raise ValidationError("need a positive occupation for a pole fit")
-    if not args.dt > 0:
-        raise ValidationError("need --dt > 0")
+    _require_positive(args.dt, "--dt")
     samples = args.window / args.dt  # inf if the quotient overflows
     if samples > GREEN_SAMPLES_MAX:
         raise ValidationError(
@@ -332,7 +303,7 @@ def _cmd_lfunc_green(args, cfg):
             f"at most {GREEN_SAMPLES_MAX}")
     taus = np.arange(0.0, args.window, args.dt)
     res = two_point_green([args.n], [args.eps], taus, mode=1,
-                          hbar=args.hbar, resolution=cfg.tol)
+                          hbar=args.hbar, resolution=args.tol)
     payload = {
         "n": args.n,
         "eps": args.eps,
@@ -347,7 +318,7 @@ def _cmd_lfunc_green(args, cfg):
     return payload, ("tau", "re_g", "im_g"), rows
 
 
-def _cmd_lfunc_sweep(args, cfg):
+def _cmd_lfunc_sweep(args):
     from .lfunctional import hbar_sweep
 
     result = hbar_sweep(hbars=tuple(_floats(args.hbars)), t=args.t,
@@ -357,13 +328,13 @@ def _cmd_lfunc_sweep(args, cfg):
         "gaps": list(result.gaps),
         "slope": result.slope,
         "expected_slope": 2.0,
-        "tolerance": 0.3 if cfg.tol is None else cfg.tol,
+        "tolerance": 0.3 if args.tol is None else args.tol,
     }
     rows = list(zip(result.hbars, result.gaps))
     return payload, ("hbar", "gap"), rows
 
 
-def _cmd_statmech_sweep(args, cfg):
+def _cmd_statmech_sweep(args):
     from .statmech import free_gas
 
     eps = _floats(args.eps)
@@ -387,12 +358,12 @@ def _cmd_statmech_sweep(args, cfg):
     return payload, header, rows
 
 
-def _cmd_gns_construct(args, cfg):
+def _cmd_gns_construct(args):
     from .geometry_gns import (AlgebraState, gns_construct,
                                induced_hamiltonian)
 
     state = AlgebraState(_json_matrix(args.rho))
-    tol = 1e-10 if cfg.tol is None else cfg.tol
+    tol = 1e-10 if args.tol is None else args.tol
     result = gns_construct(state, rank_tol=tol)
     payload = {"state": state.to_json(), "gns": result.to_json()}
     rows = [("dimension", result.dimension),
@@ -532,18 +503,18 @@ def run(argv) -> int:
         for name, value in vars(args).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValidationError(f"--{name} must be finite, got {value!r}")
-        cfg = RunConfig(subcommand=args.subcommand, action=args.action,
-                        seed=args.seed, out=args.out, fmt=args.fmt,
-                        tol=args.tol, threads=args.threads)
-        payload, header, rows = args.handler(args, cfg)
-        data = emit(payload, cfg.fmt, header, rows)
-        if cfg.out:
+        _require_int(args.seed, "seed", 0, 64)
+        if args.threads is not None:
+            _require_int(args.threads, "threads")
+        payload, header, rows = args.handler(args)
+        data = emit(payload, args.fmt, header, rows)
+        if args.out:
             try:
-                with open(cfg.out, "wb") as sink:
+                with open(args.out, "wb") as sink:
                     sink.write(data)
             except OSError as exc:
                 raise ValidationError(
-                    f"cannot write --out {cfg.out!r}: {exc.strerror}") from exc
+                    f"cannot write --out {args.out!r}: {exc.strerror}") from exc
         else:
             sys.stdout.buffer.write(data)
             sys.stdout.buffer.flush()

@@ -31,8 +31,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
-from .fock import _hermitian, _require_finite, _require_positive
+from .errors import (NumericalError, ValidationError, _hermitian,
+                     _require_finite, _require_int, _require_positive)
 
 __all__ = [
     "expm",
@@ -80,15 +80,13 @@ def heisenberg(a: np.ndarray, h: np.ndarray, t: float,
 # Trotter slicing
 
 
-def _trotter_factors(factors: Sequence[np.ndarray], t: float,
-                     n_values: Sequence[int]) -> list[np.ndarray]:
+def _trotter_factors(factors: Sequence[np.ndarray], t: float
+                     ) -> list[np.ndarray]:
     """The factors as finite complex matrices of one square shape, after
-    checking that t is finite, every slice count is >= 1, and t times the
-    factors and their sum stays in double range."""
+    checking that t is finite and t times the factors and their sum stays
+    in double range."""
     if not np.isfinite(t):
         raise ValidationError("time t must be finite")
-    if any(not n >= 1 for n in n_values):
-        raise ValidationError("slice count must be >= 1")
     mats = [_require_finite(f, "factor") for f in factors]
     if not mats:
         raise ValidationError("need at least one factor")
@@ -178,7 +176,8 @@ def trotter_slices(factors: Sequence[np.ndarray], t: float, n: int
     Factors are applied left to right inside each slice; the limit
     N -> infinity is e^{t sum_j H_j} and the error is O(1/N).
     """
-    mats = _trotter_factors(factors, t, [n])
+    n = _require_int(n, "slice count")
+    mats = _trotter_factors(factors, t)
     return _slice_product(_slice_exponentials(mats, t, n), n)
 
 
@@ -196,17 +195,18 @@ def trotter_order(factors: Sequence[np.ndarray], t: float,
     nontrivial splitting it sits near 1.  Every exponential is formed
     before any product.
     """
-    if len({int(n) for n in n_values}) < 2:
+    n_values = [_require_int(n, "slice count") for n in n_values]
+    if len(set(n_values)) < 2:
         raise ValidationError("need at least two distinct slice counts to "
                               "fit an order")
-    mats = _trotter_factors(factors, t, n_values)
+    mats = _trotter_factors(factors, t)
     exact = _expm_pade(t * sum(mats))
     exps = [_slice_exponentials(mats, t, n) for n in n_values]
     errors = {}
     for n, e in zip(n_values, exps):
-        errors[int(n)] = float(np.linalg.norm(_slice_product(e, n) - exact))
+        errors[n] = float(np.linalg.norm(_slice_product(e, n) - exact))
     ns = np.asarray(sorted(errors), dtype=float)
-    es = np.asarray([errors[int(n)] for n in ns])
+    es = np.asarray([errors[n] for n in sorted(errors)])
     if np.any(es <= 0):
         order = float("inf")
     else:
@@ -231,8 +231,7 @@ class SymbolGrid:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValidationError("grid needs at least two points")
+        _require_int(self.n, "grid points", 2)
         _require_positive(self.dq, "dq")
         _require_positive(self.hbar, "hbar")
 
@@ -340,8 +339,7 @@ def hermite_transfer(grid: SymbolGrid, n_modes: int) -> np.ndarray:
     the stable two-term recurrence.  Columns are grid-orthonormal once the
     grid covers the classically allowed region of the highest mode.
     """
-    if n_modes < 1:
-        raise ValidationError("need at least one mode")
+    n_modes = _require_int(n_modes, "n_modes")
     x = grid.q / math.sqrt(grid.hbar)
     t = np.zeros((grid.n, n_modes))
     t[:, 0] = math.pi ** -0.25 * np.exp(-0.5 * x ** 2)
@@ -377,8 +375,7 @@ def mehler_kernel(grid: SymbolGrid, beta: float) -> np.ndarray:
 def rk4_fixed(f: Callable, y0: np.ndarray, t0: float, t1: float,
               steps: int) -> np.ndarray:
     """Classical fixed-step 4th-order integration of y' = f(t, y)."""
-    if steps < 1:
-        raise ValidationError("steps must be >= 1")
+    steps = _require_int(steps, "steps")
     h = (t1 - t0) / steps
     y = np.asarray(y0, dtype=complex).copy()
     t = t0
@@ -634,6 +631,7 @@ def adiabatic_evolve(family: Callable, path: Callable, alpha: float,
     """
     _require_positive(alpha, "alpha")
     _require_positive(hbar, "hbar")
+    _require_positive(tol, "tol")
     dim = _hermitian(family(path(0.0)), "family value").shape[0]
     h_of_s, integrals, min_gap = _gapped_family(
         lambda x: family(path(x)), dim, gap_threshold)

@@ -35,7 +35,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import (NumericalError, ValidationError, _hermitian,
+                     _require_finite, _require_index, _require_int,
+                     _require_positive)
 
 __all__ = [
     "FockSpec",
@@ -73,11 +75,10 @@ class FockSpec:
     def __post_init__(self) -> None:
         if self.statistics not in ("bose", "fermi"):
             raise ValidationError(f"unknown statistics {self.statistics!r}")
-        object.__setattr__(self, "cutoffs", tuple(int(c) for c in self.cutoffs))
+        object.__setattr__(self, "cutoffs", tuple(
+            _require_int(c, "cutoff") for c in self.cutoffs))
         if not self.cutoffs:
             raise ValidationError("at least one mode required")
-        if any(c < 1 for c in self.cutoffs):
-            raise ValidationError("every cutoff must be >= 1")
         if self.statistics == "fermi" and any(c != 1 for c in self.cutoffs):
             raise ValidationError("fermionic cutoffs are fixed to 1")
         _require_positive(self.hbar, "hbar")
@@ -88,7 +89,7 @@ class FockSpec:
 
     @classmethod
     def fermi(cls, modes: int, hbar: float = 1.0) -> "FockSpec":
-        return cls("fermi", (1,) * modes, hbar)
+        return cls("fermi", (1,) * _require_int(modes, "modes"), hbar)
 
     @property
     def modes(self) -> int:
@@ -117,11 +118,12 @@ class FockSpec:
         return occ
 
     def index_of(self, occupation: Sequence[int]) -> int:
-        occupation = tuple(int(n) for n in occupation)
+        occupation = tuple(_require_int(n, "occupation", 0)
+                           for n in occupation)
         if len(occupation) != self.modes:
             raise ValidationError("occupation length mismatch")
         for n, c in zip(occupation, self.cutoffs):
-            if not 0 <= n <= c:
+            if n > c:
                 raise ValidationError(f"occupation {occupation} outside cutoffs")
         return sum(n * s for n, s in zip(occupation, self.strides))
 
@@ -140,12 +142,6 @@ class FockSpec:
             "hbar": self.hbar,
             "dim": self.dim,
         }
-
-
-def _check_mode(spec: FockSpec, k: int) -> int:
-    if not 1 <= k <= spec.modes:
-        raise ValidationError(f"mode index {k} out of range 1..{spec.modes}")
-    return k - 1
 
 
 _WORD_BLOCK = 1 << 16  # cap on the (words x dim) entries of one pass
@@ -240,8 +236,8 @@ def creation_matrix(spec: FockSpec, k: int) -> np.ndarray:
     zero at the cutoff top; fermionic entries carry the Jordan-Wigner sign
     (-1)^(sum_{j<k} n_j).
     """
-    rows, weights = _ladder_words(_letter_tables(spec), True,
-                                  [_check_mode(spec, k)])
+    km = _require_index(k, spec.modes, "mode index")
+    rows, weights = _ladder_words(_letter_tables(spec), True, [km])
     a_dag = np.zeros((spec.dim, spec.dim), dtype=complex)
     a_dag[rows, np.arange(spec.dim)] = weights
     return a_dag
@@ -351,41 +347,6 @@ def car_defect(spec: FockSpec) -> CommutationDefect:
         worst = max(worst, float(np.abs(anti).max()),
                     float(np.abs(words[:, 2] + words[:, 3]).max()))
     return CommutationDefect(safe=worst, unrestricted=worst)
-
-
-def _require_positive(value, what: str) -> None:
-    """The one rule for scale parameters (hbar, alpha): positive and finite."""
-    if not (math.isfinite(value) and value > 0):
-        raise ValidationError(f"{what} must be positive and finite")
-
-
-def _require_finite(m, what: str, shape: tuple | None = None) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    if not np.all(np.isfinite(m)):
-        raise ValidationError(f"{what} has non-finite entries")
-    if shape is not None and m.shape != shape:
-        raise ValidationError(f"{what} dimension mismatch")
-    return m
-
-
-def _hermitian(m, what: str, stacked: bool = False) -> np.ndarray:
-    """The hermitian part 0.5 (m + m^H) of a matrix checked to be hermitian.
-
-    The one input rule for every hamiltonian, generator, occupation and
-    density matrix: m is a nonempty square matrix of finite entries with
-    max|m - m^H| <= 1e-12 max|m|.  The bound has no floor, so the verdict
-    does not depend on the scale of m, and the zero matrix passes.  With
-    stacked=True, m is a stack of such matrices along its first axis and
-    each one is held to the rule at its own scale.
-    """
-    m = _require_finite(m, what)
-    if m.ndim != 2 + stacked or m.shape[-1] != m.shape[-2] or m.size == 0:
-        raise ValidationError(f"{what} must be a nonempty square matrix")
-    mh = np.swapaxes(m, -1, -2).conj()
-    skew = np.abs(m - mh).max(axis=(-2, -1))
-    if np.any(skew > 1e-12 * np.abs(m).max(axis=(-2, -1))):
-        raise ValidationError(f"{what} must be hermitian within 1e-12")
-    return 0.5 * (m + mh)
 
 
 @dataclass(frozen=True)
@@ -515,7 +476,7 @@ def poisson_eigen_defect(spec: FockSpec, f: Sequence[complex], k: int) -> Poisso
     single-mode norm.  The returned tail_bound is that closed form; `defect`
     is the matrix-route evaluation.
     """
-    km = _check_mode(spec, k)
+    km = _require_index(k, spec.modes, "mode index")
     f = np.asarray(f, dtype=complex)
     theta = poisson_vector(spec, f)
     a_k = annihilation_matrix(spec, k)
@@ -546,8 +507,8 @@ def norm_divergence_demo(f_values: Sequence[complex], m_list: Sequence[int],
     f = _require_finite(f_values, "f values")
     rows = []
     for m in m_list:
-        m = int(m)
-        if m < 0 or m > len(f):
+        m = _require_int(m, "m", 0)
+        if m > len(f):
             raise ValidationError(f"m={m} outside supplied f range")
         with np.errstate(over="ignore"):
             s = float(np.sum(np.abs(f[:m]) ** 2)) / hbar

@@ -25,8 +25,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
-from .fock import DensityMatrix, _hermitian, _require_finite
+from .errors import (NumericalError, ValidationError, _hermitian,
+                     _require_finite, _require_int)
+from .fock import DensityMatrix
 from .serialize import matrix_from_json, matrix_to_json
 
 __all__ = [
@@ -136,7 +137,7 @@ def gns_construct(state: AlgebraState, max_dimension: int = 16,
     over all pairs of matrix units are max|M^2 - M| and max|M - M^H|.
     """
     d = state.dimension
-    if d > max_dimension:
+    if d > _require_int(max_dimension, "max_dimension"):
         raise ValidationError(
             f"dimension {d} exceeds the configured bound {max_dimension}")
     if not 0 <= rank_tol < 1:  # the top weight must stay in the carrier

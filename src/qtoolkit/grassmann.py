@@ -21,7 +21,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import (NumericalError, ValidationError, _require_index,
+                     _require_int)
 
 __all__ = [
     "GrassmannElement",
@@ -72,8 +73,7 @@ class GrassmannElement:
     terms: dict
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValidationError("generator count must be >= 0")
+        _require_int(self.n, "generator count", 0)
         top = 1 << self.n
         clean = {}
         for mask, coeff in self.terms.items():
@@ -132,9 +132,9 @@ def scalar(n: int, value: complex) -> GrassmannElement:
 
 
 def generator(n: int, i: int) -> GrassmannElement:
-    if not 1 <= i <= n:
-        raise ValidationError(f"generator index {i} out of range 1..{n}")
-    return GrassmannElement(n, {1 << (i - 1): 1.0 + 0j})
+    bit = 1 << _require_index(i, _require_int(n, "generator count", 0),
+                              "generator index")
+    return GrassmannElement(n, {bit: 1.0 + 0j})
 
 
 def multiply(x: GrassmannElement, y: GrassmannElement) -> GrassmannElement:
@@ -152,9 +152,7 @@ def multiply(x: GrassmannElement, y: GrassmannElement) -> GrassmannElement:
 
 def left_derivative(i: int, x: GrassmannElement) -> GrassmannElement:
     """d/d e_i acting from the left: move e_i to the front, then strip it."""
-    if not 1 <= i <= x.n:
-        raise ValidationError(f"generator index {i} out of range 1..{x.n}")
-    bit = 1 << (i - 1)
+    bit = 1 << _require_index(i, x.n, "generator index")
     out: dict = {}
     for mask, coeff in x.terms.items():
         if not mask & bit:

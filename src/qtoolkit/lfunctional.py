@@ -36,9 +36,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
-from .fock import (DensityMatrix, FockSpec, _hermitian, _monomials,
-                   _require_positive, annihilation_matrix, creation_matrix)
+from .errors import (NumericalError, ValidationError, _hermitian,
+                     _require_finite, _require_index, _require_int,
+                     _require_positive)
+from .fock import (DensityMatrix, FockSpec, _monomials, annihilation_matrix,
+                   creation_matrix)
 from .serialize import matrix_from_json, matrix_to_json
 from .weyl_clifford import NormalOrderedPolynomial, involution
 
@@ -78,12 +80,6 @@ def _all_keys(modes: int, degree: int):
     return keys
 
 
-def _check_degree(degree) -> int:
-    if not isinstance(degree, (int, np.integer)) or degree < 0:
-        raise ValidationError(f"degree must be an integer >= 0: {degree!r}")
-    return int(degree)
-
-
 def _factorial_multi(idx: Sequence[int]) -> float:
     out = 1.0
     for k in idx:
@@ -106,7 +102,7 @@ class TaylorLFunctional:
     correlations: Mapping[tuple, complex]
 
     def __post_init__(self):
-        _check_degree(self.degree)
+        _require_int(self.degree, "degree", 0)
         for (beta, gamma) in self.correlations:
             if len(beta) != self.modes or len(gamma) != self.modes:
                 raise ValidationError("multi-index length must equal modes")
@@ -173,7 +169,7 @@ def from_density(k: DensityMatrix | np.ndarray, spec: FockSpec,
     the degree, so that degree-D strings of ladder operators act exactly
     on the bulk of the state.
     """
-    degree = _check_degree(degree)
+    degree = _require_int(degree, "degree", 0)
     if spec.statistics != "bose":
         raise ValidationError("functionals are defined over bosonic modes")
     if min(spec.cutoffs) < degree:
@@ -229,7 +225,7 @@ class GaussianLFunctional:
 
     def to_taylor(self, degree: int, hbar: float = 1.0) -> TaylorLFunctional:
         """Expand the exponential into correlation coefficients."""
-        degree = _check_degree(degree)
+        degree = _require_int(degree, "degree", 0)
         # polynomial in (alpha, alpha*): keys (beta, gamma) as exponents
         base: dict[tuple, complex] = {}
         m = self.modes
@@ -375,9 +371,8 @@ def apply_doubled(l: TaylorLFunctional, name: str, k: int
     """
     if name not in _B_OPS:
         raise ValidationError(f"unknown doubled operator {name!r}")
-    if not 1 <= k <= l.modes:
-        raise ValidationError("mode index out of range")
-    raw = _doubled(dict(l.correlations), k - 1, l.hbar, *_B_OPS[name])
+    km = _require_index(k, l.modes, "mode index")
+    raw = _doubled(dict(l.correlations), km, l.hbar, *_B_OPS[name])
     deg = l.degree - 1
     if deg < 0:
         raise ValidationError("functional degree too small to apply operators")
@@ -459,8 +454,7 @@ def b_operators_check(spec: FockSpec, degree: int = 4) -> BOperatorReport:
     """
     if spec.statistics != "bose":
         raise ValidationError("doubled operators act on bosonic functionals")
-    if degree < 2:
-        raise ValidationError("degree must be at least 2")
+    degree = _require_int(degree, "degree", 2)
     hbar = spec.hbar
     m = spec.modes
 
@@ -561,8 +555,7 @@ def evolve_L(l0: TaylorLFunctional, h: NormalOrderedPolynomial, t: float,
         raise ValidationError("evolution requires a bosonic Hamiltonian")
     if h.modes != l0.modes:
         raise ValidationError("Hamiltonian mode count does not match")
-    if steps < 1:
-        raise ValidationError("steps must be positive")
+    steps = _require_int(steps, "steps")
     diff = h + involution(h) * (-1.0)
     scale = max((abs(c) for c in h.terms.values()), default=1.0)
     if max((abs(c) for c in diff.terms.values()), default=0.0) > 1e-12 * scale:
@@ -689,13 +682,23 @@ class GreenResult:
         return self.g_greater_zero / self.g_less_zero
 
 
+_GREEN_ROWS = 4096  # time samples per block of the phase matrix
+
+
 def _phase_trace(weights: np.ndarray, freqs: np.ndarray, taus: np.ndarray
                  ) -> np.ndarray:
     # np.take copies the columns back C-ordered, so numpy calls the zgemv
-    # of the full exponential; a fancy index is F-ordered and moves bits
+    # of the full exponential; a fancy index is F-ordered and moves bits.
+    # Blocks of _GREEN_ROWS rows bound the memory and give the bits of one
+    # product, except a 1-row block (numpy's dot route), so a final single
+    # row joins the block before it.
     distinct, where = np.unique(freqs, return_inverse=True)
-    table = np.exp(1j * np.outer(taus, distinct))
-    return np.take(table, where, axis=1) @ weights
+    starts = list(range(0, len(taus) - 1, _GREEN_ROWS)) or [0]
+    out = np.empty(len(taus), dtype=complex)
+    for lo, hi in zip(starts, starts[1:] + [len(taus)]):
+        table = np.exp(1j * np.outer(taus[lo:hi], distinct))
+        out[lo:hi] = np.take(table, where, axis=1) @ weights
+    return out
 
 
 def _fit_pole(taus: np.ndarray, samples: np.ndarray) -> tuple:
@@ -744,8 +747,7 @@ def two_point_green(n_profile: Sequence[float], eps_profile: Sequence[float],
         raise ValidationError("profiles must be equal-length and non-empty")
     if any(x < 0 for x in n_profile):
         raise ValidationError("occupations must be >= 0")
-    if not 1 <= mode <= len(n_profile):
-        raise ValidationError("mode index out of range")
+    km = _require_index(mode, len(n_profile), "mode index")
     _require_positive(hbar, "hbar")
     taus = np.asarray(taus, dtype=float)
     if taus.ndim != 1 or len(taus) < 8:
@@ -757,8 +759,8 @@ def two_point_green(n_profile: Sequence[float], eps_profile: Sequence[float],
     if resolution is not None and 2.0 * np.pi / span > resolution:
         raise ValidationError("window too short for requested resolution")
 
-    n = n_profile[mode - 1]
-    eps = eps_profile[mode - 1]
+    n = n_profile[km]
+    eps = eps_profile[km]
     w = n / (1.0 + n)
     if w == 0:
         cutoff = 24
@@ -792,8 +794,8 @@ def two_point_green(n_profile: Sequence[float], eps_profile: Sequence[float],
         pole, res = _fit_pole(taus, g_less)
     return GreenResult(taus=taus, g_less=g_less, g_greater=g_greater,
                        g_less_zero=g_less_zero, g_greater_zero=g_greater_zero,
-                       pole=pole, resolution=res, mode=mode, n_bar=n, eps=eps,
-                       hbar=hbar)
+                       pole=pole, resolution=res, mode=km + 1, n_bar=n,
+                       eps=eps, hbar=hbar)
 
 
 def fourier_asymptotics_demo(t_values: Sequence[float], eta: float = 1e-5
@@ -809,8 +811,8 @@ def fourier_asymptotics_demo(t_values: Sequence[float], eta: float = 1e-5
     t_values = np.asarray(t_values, dtype=float)
     if t_values.ndim != 1 or len(t_values) == 0:
         raise ValidationError("need at least one time value")
-    if eta <= 0:
-        raise ValidationError("eta must be positive")
+    _require_finite(t_values, "t_values")
+    _require_positive(eta, "eta")
     grid = np.concatenate([
         np.arange(-40.0, 0.49, 1e-3),
         np.arange(0.49, 0.51, 1e-6),

@@ -18,7 +18,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, _require_int
 
 __all__ = [
     "complex_pair",
@@ -46,7 +46,7 @@ def matrix_to_json(m: np.ndarray) -> dict[str, Any]:
 
 
 def matrix_from_json(obj: dict[str, Any]) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
+    rows, cols = (_require_int(obj[k], k, 0) for k in ("rows", "cols"))
     data = obj["data"]
     if len(data) != rows * cols:
         raise ValueError("matrix data length does not match rows*cols")

@@ -24,9 +24,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
-from .fock import (DensityMatrix, _hermitian, _require_finite,
-                   _require_positive)
+from .errors import (NumericalError, ValidationError, _hermitian,
+                     _require_finite, _require_int, _require_positive)
+from .fock import DensityMatrix
 
 __all__ = [
     "GibbsResult",
@@ -262,11 +262,9 @@ def bose_gas_truncated_trace(eps: Sequence[float], beta: float,
     Z * sum_k r_k^{c_k+1}, which is the returned tail bound.
     """
     eps = np.asarray(eps, dtype=float)
-    cutoffs = [int(c) for c in cutoffs]
+    cutoffs = [_require_int(c, "cutoffs", 0) for c in cutoffs]
     if len(cutoffs) != len(eps):
         raise ValidationError("need one cutoff per mode")
-    if any(c < 0 for c in cutoffs):
-        raise ValidationError("cutoffs must be >= 0")
     closed = free_gas(eps, beta, "bose")
     r = np.exp(-beta * eps)
     z_trunc = 0.0

@@ -26,7 +26,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import (NumericalError, ValidationError, _require_index,
+                     _require_int, _require_positive)
 from . import fock
 from .grassmann import _merge_sign
 
@@ -69,9 +70,8 @@ class NormalOrderedPolynomial:
     def __post_init__(self) -> None:
         if self.statistics not in ("bose", "fermi"):
             raise ValidationError(f"unknown statistics {self.statistics!r}")
-        if self.modes < 1:
-            raise ValidationError("modes must be >= 1")
-        fock._require_positive(self.hbar, "hbar")
+        _require_int(self.modes, "modes")
+        _require_positive(self.hbar, "hbar")
         clean = {}
         for key, coeff in self.terms.items():
             coeff = complex(coeff)
@@ -157,15 +157,14 @@ def unit(statistics: str, modes: int, hbar: float = 1.0) -> NormalOrderedPolynom
 
 
 def _single_key(statistics: str, modes: int, k: int, creation: bool):
-    if not 1 <= k <= modes:
-        raise ValidationError(f"mode index {k} out of range 1..{modes}")
+    km = _require_index(k, _require_int(modes, "modes"), "mode index")
     if statistics == "bose":
         z = [0] * modes
-        z[k - 1] = 1
+        z[km] = 1
         z = tuple(z)
         e = (0,) * modes
         return (z, e) if creation else (e, z)
-    mask = 1 << (k - 1)
+    mask = 1 << km
     return (mask, 0) if creation else (0, mask)
 
 
@@ -510,6 +509,7 @@ _FACTOR_RE = re.compile(r"a(\*)?\[(\d+)\](?:\^(\d+))?$")
 def parse_poly(text: str, statistics: str, modes: int, hbar: float = 1.0
                ) -> NormalOrderedPolynomial:
     """Inverse of format_poly; accepts exactly the emitted normal form."""
+    modes = _require_int(modes, "modes")
     terms: dict = {}
     for chunk in text.split(" + "):
         chunk = chunk.strip()
@@ -529,17 +529,15 @@ def parse_poly(text: str, statistics: str, modes: int, hbar: float = 1.0
                 if not m:
                     raise ValidationError(f"cannot parse factor {f!r}")
                 is_c = m.group(1) is not None
-                k = int(m.group(2))
+                km = _require_index(int(m.group(2)), modes, "mode")
                 e = int(m.group(3) or 1)
-                if not 1 <= k <= modes:
-                    raise ValidationError(f"mode {k} out of range")
                 if is_c:
                     if seen_annihilator:
                         raise ValidationError("term is not in normal form")
-                    alpha[k - 1] += e
+                    alpha[km] += e
                 else:
                     seen_annihilator = True
-                    beta[k - 1] += e
+                    beta[km] += e
             key = (tuple(alpha), tuple(beta))
         else:
             cmask = amask = 0
@@ -549,8 +547,7 @@ def parse_poly(text: str, statistics: str, modes: int, hbar: float = 1.0
                 if not m or m.group(3):
                     raise ValidationError(f"cannot parse fermionic factor {f!r}")
                 is_c = m.group(1) is not None
-                k = int(m.group(2))
-                bit = 1 << (k - 1)
+                bit = 1 << _require_index(int(m.group(2)), modes, "mode")
                 if is_c:
                     if seen_annihilator or cmask & bit:
                         raise ValidationError("term is not in canonical form")

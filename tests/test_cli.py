@@ -113,13 +113,17 @@ class TestExitCodes:
          "validation"),
         (["gns", "construct", "--rho", '{{"rows":0,"cols":0,"data":[]}}'],
          2, "validation"),
+        (["weyl", "check", "--trials", "1", "--seed", str(2 ** 64)], 2,
+         "validation"),
+        (["decohere", "sweep", "--trials", "16", "--threads", "0"], 2,
+         "validation"),
     ], ids=["green-dt-zero", "green-window-nan", "green-window-inf",
             "trotter-no-slices",
             "trotter-one-slice-count", "out-missing-dir", "poisson-overflow",
             "beta-range-too-long", "beta-range-overflows", "beta-range-nan",
             "beta-range-not-a-number", "grassmann-power-overflow",
             "green-too-many-samples", "green-samples-overflow",
-            "gns-empty-rho"])
+            "gns-empty-rho", "seed-past-64-bits", "zero-threads"])
     def test_bad_input_exits_with_json_not_traceback(self, argv, code, kind,
                                                      tmp_path, capsys):
         argv = [a.format(missing_dir=tmp_path / "missing") for a in argv]
@@ -400,6 +404,15 @@ class TestImport:
             "evolution", "decoherence", "lfunctional", "geometry_gns",
             "statmech", "grassmann", "weyl_clifford", "fock")}
         assert not lazy & loaded
+
+    def test_package_import_loads_no_numpy(self):
+        # errors.py states every input rule without importing numpy
+        proc = fresh_python(["-c", (
+            "import sys, qtoolkit; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('numpy', 'qtoolkit')))")])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == b"['qtoolkit', 'qtoolkit.errors']\n"
 
     def test_submodules_load_on_attribute_access(self):
         proc = fresh_python(["-c", (

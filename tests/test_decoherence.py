@@ -521,6 +521,17 @@ def test_projector_slow_mode_detected():
         robust_projector(gen, t_max=1e6)
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(agree_tol=0.0), dict(agree_tol=math.nan), dict(agree_tol=-1e-6),
+    dict(t_max=math.nan), dict(t_max=math.inf), dict(t_max=0.0)])
+def test_projector_scales_must_be_positive_and_finite(kwargs):
+    gen = commutator_superoperator(np.diag([0.0, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="positive and finite"):
+            robust_projector(gen, **kwargs)
+
+
 def test_robust_kernel_common_modes():
     h0 = np.diag([0.0, 1.0])
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])

@@ -699,6 +699,16 @@ def test_adiabatic_scales_must_be_positive_and_finite(alpha, hbar):
                          alpha=alpha, hbar=hbar)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-8])
+def test_adiabatic_tolerance_must_be_positive_and_finite(tol):
+    # a nan tol once doubled the steps up to max_steps before failing
+    def refuse(*args):
+        raise AssertionError("Magnus steps taken before validation")
+
+    with pytest.raises(ValidationError, match="positive and finite"):
+        adiabatic_evolve(refuse, lambda s: 0.0, alpha=0.1, tol=tol)
+
+
 def test_adiabatic_rejects_family_changing_dimension():
     def family(g):
         return np.eye(2) if float(g) == 0.0 else np.eye(3)

@@ -1,7 +1,7 @@
 """The one hermiticity rule shared by every matrix input.
 
 Each entry point that takes a hamiltonian, generator, occupation matrix or
-state validates it through `fock._hermitian`: a nonempty square matrix of
+state validates it through `errors._hermitian`: a nonempty square matrix of
 finite entries with max|m - m^H| <= 1e-12 max|m|.  Because the bound has
 no floor, scaling the input by 1e-200 or 1e200 never changes the verdict.
 An operator passed next to a state or generator must be finite and of its
@@ -13,10 +13,10 @@ import pytest
 
 from qtoolkit.decoherence import (PerturbationEnsemble, average_density,
                                   commutator_superoperator)
-from qtoolkit.errors import NumericalError, ValidationError
+from qtoolkit.errors import NumericalError, ValidationError, _hermitian
 from qtoolkit.evolution import (adiabatic_evolve, evolve_density, expm,
                                 heisenberg)
-from qtoolkit.fock import DensityMatrix, FockSpec, _hermitian
+from qtoolkit.fock import DensityMatrix, FockSpec
 from qtoolkit.geometry_gns import (AlgebraState, equivalence_quotient,
                                    induced_hamiltonian, moment_map)
 from qtoolkit.lfunctional import GaussianLFunctional, from_density

@@ -2,6 +2,7 @@
 lattice hbar sweep, Green functions, and Fourier asymptotics."""
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -528,6 +529,37 @@ class TestTwoPointGreen:
             want = phase_trace_dense(weights, freqs, taus)
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("rows", [4095, 4096, 4097, 4098, 8193, 8194,
+                                      8209, 12289])
+    def test_phase_trace_blocks_equal_one_product(self, rows):
+        # the blocks of _GREEN_ROWS samples, a final single row joined to
+        # the block before it, give the bits of the one full product
+        rng = np.random.default_rng(np.random.Philox(rows))
+        for size in (50, 985):
+            freqs = rng.integers(-12, 12, size) * 0.7
+            weights = rng.normal(size=size) + 1j * rng.normal(size=size)
+            taus = np.arange(rows) * 0.05
+            got = lfunctional._phase_trace(weights, freqs, taus)
+            want = phase_trace_dense(weights, freqs, taus)
+            assert got.tobytes() == want.tobytes()
+
+    def test_memory_does_not_grow_with_the_sample_count(self):
+        # n = 28 has 985 weights: the full (samples x weights) matrix
+        # would be 123 MiB at 8,193 samples and 493 MiB at 32,769, on top
+        # of about 65 MiB of dense ladder matrices
+        def peak(samples):
+            taus = np.arange(samples) * 0.05
+            tracemalloc.start()
+            try:
+                two_point_green([28.0], [0.7], taus)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(2 * 4096 + 1), peak(8 * 4096 + 1)
+        assert large <= 160 << 20
+        assert large <= 1.05 * small
+
     def test_window_and_grid_validation(self):
         good = np.arange(0.0, 20.0, 0.1)
         with pytest.raises(ValidationError):
@@ -553,3 +585,11 @@ class TestFourierAsymptotics:
             fourier_asymptotics_demo([])
         with pytest.raises(ValidationError):
             fourier_asymptotics_demo([10.0], eta=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for eta in (np.inf, np.nan):
+                with pytest.raises(ValidationError, match="eta"):
+                    fourier_asymptotics_demo([10.0], eta=eta)
+            for t in (np.nan, np.inf):
+                with pytest.raises(ValidationError, match="non-finite"):
+                    fourier_asymptotics_demo([10.0, t])
