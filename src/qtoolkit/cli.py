@@ -160,10 +160,10 @@ def _cmd_fock_poisson(args):
 def _cmd_weyl_check(args):
     from .weyl_clifford import poly, product
 
-    if args.modes < 1 or args.trials < 0 or args.terms < 0:
-        raise ValidationError("need --modes >= 1, --trials >= 0, --terms >= 0")
+    modes = _require_int(args.modes, "--modes")
+    _require_int(args.trials, "--trials", 0)
+    _require_int(args.terms, "--terms", 0)
     rng = np.random.default_rng(np.random.Philox(args.seed))
-    modes = args.modes
     rows = []
     worst = 0.0
     for trial in range(args.trials):
@@ -176,9 +176,10 @@ def _cmd_weyl_check(args):
                 if args.stat == "bose":
                     key = (tuple(int(x) for x in bits_c),
                            tuple(int(x) for x in bits_a))
-                else:
-                    key = (int(np.dot(bits_c, 1 << np.arange(modes))),
-                           int(np.dot(bits_a, 1 << np.arange(modes))))
+                else:  # Python ints: masks of 64 modes and more
+                    key = tuple(sum(b << k for k, b in enumerate(bits))
+                                for bits in (bits_c.tolist(),
+                                             bits_a.tolist()))
                 coeff = complex(int(rng.integers(-3, 4)),
                                 int(rng.integers(-3, 4)))
                 terms[key] = terms.get(key, 0j) + coeff

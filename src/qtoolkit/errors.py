@@ -48,8 +48,12 @@ def _require_index(k, count: int, what: str) -> int:
 
 
 def _require_positive(value, what: str) -> None:
-    """The one rule for scales and tolerances: positive and finite."""
-    if not (math.isfinite(value) and value > 0):
+    """The one rule for scales and tolerances: a positive finite real."""
+    try:
+        ok = math.isfinite(value) and value > 0
+    except TypeError:  # complex, str, None: not a real number
+        ok = False
+    if not ok:
         raise ValidationError(f"{what} must be positive and finite")
 
 

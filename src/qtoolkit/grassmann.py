@@ -2,7 +2,11 @@
 
 Elements of Lambda_n are stored as maps from generator bitmasks to complex
 coefficients; monomials are written in canonical increasing-index order and
-products carry the parity sign of the merge.  The Gaussian integral of
+products carry the parity sign of the merge.  Concatenating monomial a then
+b moves each generator k of b past the generators of a above k, so the sign
+is (-1)^popcount(b & P(a)), where bit k of the parity mask P(a) is set when
+an odd number of the generators of a lie above k; `multiply` forms P(a) once
+per left monomial.  The Gaussian integral of
 exp(1/2 sum a_ij e_i e_j) is the Pfaffian of a, computed in O(n^3) by
 Parlett-Reid elimination (the polynomial branch of det^{1/2}: block-diagonal
 blocks lambda_1..lambda_k integrate to lambda_1*...*lambda_k).
@@ -67,6 +71,18 @@ def _merge_sign(mask_a: int, mask_b: int) -> int:
     return sign
 
 
+def _parity_mask(mask_a: int) -> int:
+    """P(a): bit k is set when an odd number of generators of a lie above k,
+    so _merge_sign(a, b) == (-1)^popcount(b & P(a)).  A suffix XOR scan of
+    a >> 1 in log2(n) shifts."""
+    p = mask_a >> 1
+    shift = 1
+    while shift < mask_a.bit_length():
+        p ^= p >> shift
+        shift <<= 1
+    return p
+
+
 @dataclass(frozen=True)
 class GrassmannElement:
     n: int
@@ -85,6 +101,19 @@ class GrassmannElement:
                 clean[mask] = coeff
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _valid(cls, n: int, terms: dict) -> "GrassmannElement":
+        """The element over `terms` without the constructor's checks.
+
+        Only terms that a kernel built from already-valid elements may pass
+        through here: int masks below 1 << n and Python complex
+        coefficients.  Exact zeros are dropped; insertion order is kept.
+        """
+        x = object.__new__(cls)
+        x.__dict__.update(n=n, terms={m: c for m, c in terms.items()
+                                      if c != 0})
+        return x
+
     def _compatible(self, other: "GrassmannElement") -> None:
         if self.n != other.n:
             raise ValidationError("elements live in different algebras")
@@ -94,13 +123,15 @@ class GrassmannElement:
         terms = dict(self.terms)
         for mask, coeff in other.terms.items():
             terms[mask] = terms.get(mask, 0j) + coeff
-        return GrassmannElement(self.n, terms)
+        return GrassmannElement._valid(self.n, terms)
 
     def __sub__(self, other: "GrassmannElement") -> "GrassmannElement":
         return self + other.scale(-1)
 
     def scale(self, factor: complex) -> "GrassmannElement":
-        return GrassmannElement(self.n, {m: factor * c for m, c in self.terms.items()})
+        # complex(): exp_element and cos_element scale by numpy scalars
+        return GrassmannElement._valid(
+            self.n, {m: complex(factor * c) for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, GrassmannElement):
@@ -141,13 +172,15 @@ def multiply(x: GrassmannElement, y: GrassmannElement) -> GrassmannElement:
     x._compatible(y)
     out: dict = {}
     for ma, ca in x.terms.items():
+        parity = _parity_mask(ma)
+        signed = (1 * ca, -1 * ca)  # sign * ca, by the parity of crossings
         for mb, cb in y.terms.items():
             if ma & mb:
                 continue
-            sign = _merge_sign(ma, mb)
             key = ma | mb
-            out[key] = out.get(key, 0j) + sign * ca * cb
-    return GrassmannElement(x.n, out)
+            out[key] = (out.get(key, 0j)
+                        + signed[(mb & parity).bit_count() & 1] * cb)
+    return GrassmannElement._valid(x.n, out)
 
 
 def left_derivative(i: int, x: GrassmannElement) -> GrassmannElement:
@@ -160,7 +193,7 @@ def left_derivative(i: int, x: GrassmannElement) -> GrassmannElement:
         below = mask & (bit - 1)
         sign = -1 if below.bit_count() & 1 else 1
         out[mask ^ bit] = out.get(mask ^ bit, 0j) + sign * coeff
-    return GrassmannElement(x.n, out)
+    return GrassmannElement._valid(x.n, out)
 
 
 def berezin_integral(x: GrassmannElement) -> complex:
@@ -195,9 +228,10 @@ def _series_at_body(x: GrassmannElement, coefficients: Sequence[complex]
     The sum stops at the first vanishing power of nu, at the latest
     nu^(n+1) = 0.
     """
-    nu = x - scalar(x.n, x.body())
-    out = scalar(x.n, coefficients[0])
-    power = scalar(x.n, 1.0)
+    n = x.n
+    nu = x - GrassmannElement._valid(n, {0: x.body()})
+    out = GrassmannElement._valid(n, {0: complex(coefficients[0])})
+    power = GrassmannElement._valid(n, {0: 1.0 + 0j})
     for c in coefficients[1:]:
         power = multiply(power, nu)
         if power.is_zero():

@@ -93,7 +93,19 @@ class NormalOrderedPolynomial:
                 raise ValidationError(f"bad fermionic term key {key!r}")
 
     def _like(self, terms: dict) -> "NormalOrderedPolynomial":
-        return NormalOrderedPolynomial(self.statistics, self.modes, self.hbar, terms)
+        """A polynomial of this algebra over `terms`, without the
+        constructor's checks.
+
+        Only terms that a kernel built from already-valid polynomials of
+        this algebra may pass through here: well-formed keys and Python
+        complex coefficients.  Exact zeros are dropped; insertion order is
+        kept.
+        """
+        p = object.__new__(NormalOrderedPolynomial)
+        p.__dict__.update(statistics=self.statistics, modes=self.modes,
+                          hbar=self.hbar,
+                          terms={k: c for k, c in terms.items() if c != 0})
+        return p
 
     def _compatible(self, other: "NormalOrderedPolynomial") -> None:
         if (self.statistics, self.modes, self.hbar) != (
@@ -111,7 +123,8 @@ class NormalOrderedPolynomial:
         return self + other.scale(-1)
 
     def scale(self, factor: complex) -> "NormalOrderedPolynomial":
-        return self._like({k: factor * c for k, c in self.terms.items()})
+        return self._like({k: complex(factor * c)
+                           for k, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, NormalOrderedPolynomial):
@@ -251,6 +264,9 @@ def product(a: NormalOrderedPolynomial, b: NormalOrderedPolynomial,
             c = ca * cb
             for key, r in pair(key_a, key_b):
                 out[key] = out.get(key, 0j) + c * r
+    if isinstance(a.hbar, (int, float)):
+        return a._like(out)
+    # an hbar such as numpy.float32 leaves numpy scalars to convert
     return NormalOrderedPolynomial(a.statistics, a.modes, a.hbar, out)
 
 

@@ -40,6 +40,13 @@ reuses one buffer and tests only each lambda's two neighbouring nodes.
 each Simpson level afresh; src samples only the odd points of each finer
 level.
 
+`multiply_crossing` takes each Grassmann merge sign from the crossing
+count `_merge_sign` of its term pair and builds the product through the
+validating constructor; src forms one parity mask per left monomial and
+skips the checks for results built from valid operands.
+`validating_element` and `validating_like` send every kernel result back
+through the checks of `GrassmannElement` and `NormalOrderedPolynomial`.
+
 `evolution_generator_branches` is the von Neumann generator on
 correlation coefficients derived by hand, one branch per term shape
 (1, 1), (2, 0) and (0, 2); src composes it from the doubled operators.
@@ -60,6 +67,7 @@ from qtoolkit.evolution import (_GAUSS_NODES, _MAGNUS_START_STEPS,
                                 _expm_pade, _sample_matrices, _tree_product)
 from qtoolkit.fock import (CommutationDefect, FockSpec, annihilation_matrix,
                            creation_matrix)
+from qtoolkit.grassmann import GrassmannElement, _merge_sign
 from qtoolkit.weyl_clifford import NormalOrderedPolynomial
 
 
@@ -202,6 +210,32 @@ def word_reduction(a: NormalOrderedPolynomial, b: NormalOrderedPolynomial
             for key, r in reduced.items():
                 out[key] = out.get(key, 0j) + c * r
     return {key: c for key, c in out.items() if c != 0}
+
+
+def multiply_crossing(x: GrassmannElement, y: GrassmannElement
+                      ) -> GrassmannElement:
+    """x y with the sign of every term pair counted crossing by crossing."""
+    x._compatible(y)
+    out: dict = {}
+    for ma, ca in x.terms.items():
+        for mb, cb in y.terms.items():
+            if ma & mb:
+                continue
+            key = ma | mb
+            out[key] = out.get(key, 0j) + _merge_sign(ma, mb) * ca * cb
+    return GrassmannElement(x.n, out)
+
+
+def validating_element(cls, n: int, terms: dict) -> GrassmannElement:
+    """The element over terms, through every check of the constructor."""
+    return GrassmannElement(n, terms)
+
+
+def validating_like(self: NormalOrderedPolynomial, terms: dict
+                    ) -> NormalOrderedPolynomial:
+    """A polynomial of self's algebra over terms, through every check."""
+    return NormalOrderedPolynomial(self.statistics, self.modes, self.hbar,
+                                   terms)
 
 
 def pfaffian_expansion(a) -> complex:

@@ -117,13 +117,18 @@ class TestExitCodes:
          "validation"),
         (["decohere", "sweep", "--trials", "16", "--threads", "0"], 2,
          "validation"),
+        (["weyl", "check", "--modes", "0"], 2, "validation"),
+        (["weyl", "check", "--trials", "-1"], 2, "validation"),
+        (["weyl", "check", "--terms", "-1"], 2, "validation"),
     ], ids=["green-dt-zero", "green-window-nan", "green-window-inf",
             "trotter-no-slices",
             "trotter-one-slice-count", "out-missing-dir", "poisson-overflow",
             "beta-range-too-long", "beta-range-overflows", "beta-range-nan",
             "beta-range-not-a-number", "grassmann-power-overflow",
             "green-too-many-samples", "green-samples-overflow",
-            "gns-empty-rho", "seed-past-64-bits", "zero-threads"])
+            "gns-empty-rho", "seed-past-64-bits", "zero-threads",
+            "weyl-zero-modes", "weyl-negative-trials",
+            "weyl-negative-terms"])
     def test_bad_input_exits_with_json_not_traceback(self, argv, code, kind,
                                                      tmp_path, capsys):
         argv = [a.format(missing_dir=tmp_path / "missing") for a in argv]
@@ -322,6 +327,16 @@ class TestWeylAndEvolve:
             ["weyl", "check", "--trials", "10", "--stat", "fermi"], capsys)
         assert code == 0
         assert json.loads(out)["max_associativity_defect"] == 0.0
+
+    @pytest.mark.parametrize("modes", [64, 70])
+    def test_fermi_masks_past_64_modes(self, modes, capsys):
+        code, out, _ = invoke(
+            ["weyl", "check", "--stat", "fermi", "--modes", str(modes),
+             "--trials", "1", "--terms", "1"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["modes"] == modes
+        assert payload["max_associativity_defect"] == 0.0
 
     def test_trotter_reports_first_order(self, capsys):
         code, out, _ = invoke(

@@ -17,6 +17,7 @@ same commit:
 
 import contextlib
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -214,18 +215,37 @@ def runtime_outputs() -> dict:
     }
 
 
-def test_no_runtime_path_needs_scipy():
+@functools.cache
+def _outputs_here() -> dict:
+    return runtime_outputs()
+
+
+def child_outputs(prelude: str = "", env: dict | None = None) -> dict:
+    """runtime_outputs() of a fresh interpreter that first runs prelude,
+    with env added to this process's environment."""
     here = os.path.dirname(os.path.abspath(__file__))
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     script = ("import json, sys\n"
-              "sys.modules['scipy'] = None\n"
+              f"{prelude}"
               f"sys.path[:0] = [{here!r}, {src!r}]\n"
               "import test_cli_golden\n"
               "print(json.dumps(test_cli_golden.runtime_outputs()))\n")
     child = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                           text=True)
+                           text=True, env={**os.environ, **(env or {})})
     assert child.returncode == 0, child.stderr
-    assert json.loads(child.stdout) == runtime_outputs()
+    return json.loads(child.stdout)
+
+
+def test_no_runtime_path_needs_scipy():
+    assert child_outputs("sys.modules['scipy'] = None\n") == _outputs_here()
+
+
+def test_golden_with_one_blas_thread():
+    """Byte-identity across thread counts covers BLAS threads too."""
+    got = child_outputs(env={"OPENBLAS_NUM_THREADS": "1"})
+    assert got == _outputs_here()
+    if MODE.startswith("sha256"):
+        assert got["stdout"] == [e["sha256"] for e in _RECORDED["commands"]]
 
 
 def write() -> None:

@@ -1,11 +1,14 @@
-"""The one integer rule shared by every count, index and seed.
+"""The one integer rule shared by every count, index and seed, and the one
+scale rule shared by every scale and tolerance.
 
 Each entry point below takes a count or a 1-based index and checks it with
 `errors._require_int` or `errors._require_index`: anything
 `operator.index` accepts except a bool, at or above a floor and, for an
 index, at most the number of items.  A float such as 2.5 is refused rather
 than truncated, and True is refused rather than read as 1, so each call
-here raises ValidationError and never TypeError or a result.
+here raises ValidationError and never TypeError or a result.  Likewise a
+scale that is not a real number (complex, str, None) meets
+`errors._require_positive` and raises ValidationError, not TypeError.
 """
 
 import warnings
@@ -14,8 +17,11 @@ import numpy as np
 import pytest
 
 from qtoolkit.decoherence import PerturbationEnsemble, phase_functional
-from qtoolkit.errors import ValidationError, _require_index, _require_int
-from qtoolkit.evolution import (SymbolGrid, hermite_transfer, rk4_fixed,
+from qtoolkit.decoherence import robust_projector
+from qtoolkit.errors import (ValidationError, _require_index, _require_int,
+                             _require_positive)
+from qtoolkit.evolution import (SymbolGrid, adiabatic_evolve,
+                                hermite_transfer, mehler_kernel, rk4_fixed,
                                 trotter_order, trotter_slices)
 from qtoolkit.fock import (FockSpec, creation_matrix, norm_divergence_demo,
                            poisson_eigen_defect)
@@ -23,8 +29,9 @@ from qtoolkit.geometry_gns import AlgebraState, gns_construct
 from qtoolkit.grassmann import GrassmannElement, generator, left_derivative
 from qtoolkit.lfunctional import (apply_doubled, b_operators_check,
                                   coherent_lfunctional, evolve_L,
-                                  from_density, hbar_sweep, two_point_green)
-from qtoolkit.statmech import bose_gas_truncated_trace
+                                  fourier_asymptotics_demo, from_density,
+                                  hbar_sweep, two_point_green)
+from qtoolkit.statmech import bose_gas_truncated_trace, gibbs_state
 from qtoolkit.weyl_clifford import annihilator, creator, parse_poly, poly
 
 _SPEC = FockSpec.bose((3,))
@@ -116,3 +123,38 @@ def test_rule_accepts_numpy_integers_and_returns_python_ints():
     assert _require_int(2 ** 64 - 1, "seed", 0, 64) == 2 ** 64 - 1
     with pytest.raises(ValidationError, match=r"in \[0, 2\*\*64\)"):
         _require_int(2 ** 64, "seed", 0, 64)
+
+
+# name -> call taking a scale or tolerance
+_SCALE_ENTRY_POINTS = {
+    "_require_positive": lambda v: _require_positive(v, "scale"),
+    "FockSpec.bose-hbar": lambda v: FockSpec.bose((2,), hbar=v),
+    "FockSpec.fermi-hbar": lambda v: FockSpec.fermi(2, hbar=v),
+    "poly-hbar": lambda v: poly("bose", 1, {}, hbar=v),
+    "norm_divergence_demo-hbar": lambda v: norm_divergence_demo(
+        [0.1, 0.2], [1], hbar=v),
+    "SymbolGrid-dq": lambda v: SymbolGrid(8, v),
+    "mehler_kernel-beta": lambda v: mehler_kernel(_GRID, v),
+    "gibbs_state-beta": lambda v: gibbs_state(np.eye(2), v),
+    "two_point_green-hbar": lambda v: two_point_green(
+        [1.0], [0.5], _TAUS, hbar=v),
+    "fourier_asymptotics_demo-eta": lambda v: fourier_asymptotics_demo(
+        [1.0], eta=v),
+    "PerturbationEnsemble-alpha": lambda v: PerturbationEnsemble(
+        family=lambda lam, g: np.eye(2), path=lambda s: s * (1.0 - s),
+        alpha=v, lam_low=0.0, lam_high=1.0, trials=4),
+    "robust_projector-agree_tol": lambda v: robust_projector(
+        np.zeros((2, 2)), agree_tol=v),
+    "adiabatic_evolve-tol": lambda v: adiabatic_evolve(
+        lambda g: np.eye(2), lambda s: s, 1.0, tol=v),
+}
+
+
+@pytest.mark.parametrize("value", [1j, 1 + 0j, "1", None],
+                         ids=["imaginary", "complex", "str", "None"])
+@pytest.mark.parametrize("name", sorted(_SCALE_ENTRY_POINTS))
+def test_scale_that_is_not_a_real_number_is_refused(name, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="positive and finite"):
+            _SCALE_ENTRY_POINTS[name](value)
