@@ -58,6 +58,8 @@ def _ints(text: str) -> list[int]:
 
 
 BETA_POINTS_MAX = 100_000
+# 64 chunks of decoherence._CHUNK trials, about 1 s per --alpha value
+DECOHERE_TRIALS_MAX = 1 << 22
 
 
 def _beta_range(text: str) -> np.ndarray:
@@ -263,6 +265,9 @@ def _default_two_level():
 def _cmd_decohere_sweep(args):
     from .decoherence import PerturbationEnsemble, average_density
 
+    if _require_int(args.trials, "--trials") > DECOHERE_TRIALS_MAX:
+        raise ValidationError(f"--trials {args.trials} is too many; at most "
+                              f"{DECOHERE_TRIALS_MAX}")
     family, path = _default_two_level()
     k0 = np.full((2, 2), 0.5, dtype=complex)
     rows = []

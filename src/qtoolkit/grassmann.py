@@ -53,28 +53,10 @@ __all__ = [
 ]
 
 
-def _merge_sign(mask_a: int, mask_b: int) -> int:
-    """Parity sign for concatenating canonical monomials a then b.
-
-    Counts crossings: each generator of b must pass the generators of a that
-    have larger index.
-    """
-    sign = 1
-    b = mask_b
-    while b:
-        low = b & -b
-        # generators of a strictly above this one
-        above = mask_a & ~(low | (low - 1))
-        if above.bit_count() & 1:
-            sign = -sign
-        b ^= low
-    return sign
-
-
 def _parity_mask(mask_a: int) -> int:
     """P(a): bit k is set when an odd number of generators of a lie above k,
-    so _merge_sign(a, b) == (-1)^popcount(b & P(a)).  A suffix XOR scan of
-    a >> 1 in log2(n) shifts."""
+    so monomial a then b merges with sign (-1)^popcount(b & P(a)).  A
+    suffix XOR scan of a >> 1 in log2(n) shifts."""
     p = mask_a >> 1
     shift = 1
     while shift < mask_a.bit_length():
@@ -90,13 +72,11 @@ class GrassmannElement:
 
     def __post_init__(self) -> None:
         _require_int(self.n, "generator count", 0)
-        top = 1 << self.n
+        what = f"mask of Lambda_{self.n}"
         clean = {}
         for mask, coeff in self.terms.items():
-            mask = int(mask)
+            mask = _require_int(mask, what, 0, self.n)
             coeff = complex(coeff)
-            if not 0 <= mask < top:
-                raise ValidationError(f"mask {mask} outside Lambda_{self.n}")
             if coeff != 0:
                 clean[mask] = coeff
         object.__setattr__(self, "terms", clean)
@@ -393,16 +373,15 @@ class MixedElement:
     terms: dict
 
     def __post_init__(self) -> None:
-        top = 1 << self.n
+        _require_int(self.r, "x-variable count", 0)
+        _require_int(self.n, "xi-generator count", 0)
         clean = {}
         for (deg, mask), coeff in self.terms.items():
-            deg = tuple(int(d) for d in deg)
-            mask = int(mask)
-            coeff = complex(coeff)
-            if len(deg) != self.r or any(d < 0 for d in deg):
+            if len(deg) != self.r:
                 raise ValidationError(f"bad x-degree {deg!r}")
-            if not 0 <= mask < top:
-                raise ValidationError(f"bad xi-mask {mask!r}")
+            deg = tuple(_require_int(d, "x-degree", 0) for d in deg)
+            mask = _require_int(mask, "xi-mask", 0, self.n)
+            coeff = complex(coeff)
             if coeff != 0:
                 clean[(deg, mask)] = coeff
         object.__setattr__(self, "terms", clean)

@@ -2,24 +2,34 @@
 
 A polynomial in creation/annihilation symbols is stored in normal form: every
 creation factor precedes every annihilation factor.  Products contract each
-pair of terms in closed form (Wick's theorem): bosons mode by mode,
-a^k a*^l = sum_j j! C(k,j) C(l,j) hbar^j a*^(l-j) a^(k-j); fermions by a
-signed sum over the subsets of annihilated modes that the right factor
-creates, each contracted pair giving a unit.  Coefficient arithmetic is
-plain complex arithmetic with no truncation or pruning threshold: only exact
-zeros are removed, so with dyadic-rational inputs (integers, halves,
-quarters...) every algebraic identity, associativity included, holds
-bit-exactly.
+pair of terms in closed form (Wick's theorem), in one loop over the term
+pairs.  Bosons contract mode by mode,
+a^k a*^l = sum_j j! C(k,j) C(l,j) hbar^j a*^(l-j) a^(k-j), over the modes
+where both k and l are nonzero; each call keeps a table from (k, l) to the
+pairs (j, j! C(k,j) C(l,j)), filled the first time a pair needs it.
+Fermions sum over the subsets S of the annihilated modes a1 that the right
+factor creates (c2), each contracted pair giving a unit: with
+ar = a1 minus S, cr = c2 minus S, k = |S| and P the parity mask of
+grassmann._parity_mask, the term of a*^c1 a^a1 . a*^c2 a^a2 for S has sign
+(-1)^(popcount((S ^ a2) & P(ar)) + popcount(cr & (P(S) ^ P(c1)))
++ k(k-1)/2 + |ar| |cr|): splitting S off a^a1 and a*^c2, contracting
+a^S a*^S, passing a^ar over a*^cr and merging the outer blocks.  P(c1) is
+formed once per left term.  Coefficient arithmetic is plain complex
+arithmetic with no truncation or pruning threshold: only exact zeros are
+removed, so with dyadic-rational inputs (integers, halves, quarters...)
+every algebraic identity, associativity included, holds bit-exactly.
 
 Bosonic term keys are pairs of per-mode degree tuples (alpha, beta) for
 a*^alpha a^beta; fermionic keys are pairs of bitmasks (cmask, amask), each
-block written in increasing mode order.
+block written in increasing mode order.  Every degree and mask is held to
+the integer rule of errors._require_int and stored as a Python int.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -29,7 +39,7 @@ import numpy as np
 from .errors import (NumericalError, ValidationError, _require_index,
                      _require_int, _require_positive)
 from . import fock
-from .grassmann import _merge_sign
+from .grassmann import _parity_mask
 
 __all__ = [
     "NormalOrderedPolynomial",
@@ -60,6 +70,19 @@ DEGREE_CAP = 8
 # polynomial container
 
 
+def _check_key(statistics: str, modes: int, key) -> tuple:
+    """key with every degree or mask held to the integer rule and stored as
+    a Python int."""
+    alpha, beta = key
+    if statistics == "bose":
+        if len(alpha) != modes or len(beta) != modes:
+            raise ValidationError(f"bad bosonic term key {key!r}")
+        return (tuple(_require_int(d, "bosonic degree", 0) for d in alpha),
+                tuple(_require_int(d, "bosonic degree", 0) for d in beta))
+    return (_require_int(alpha, "fermionic creation mask", 0, modes),
+            _require_int(beta, "fermionic annihilation mask", 0, modes))
+
+
 @dataclass(frozen=True)
 class NormalOrderedPolynomial:
     statistics: str
@@ -74,23 +97,11 @@ class NormalOrderedPolynomial:
         _require_positive(self.hbar, "hbar")
         clean = {}
         for key, coeff in self.terms.items():
+            key = _check_key(self.statistics, self.modes, key)
             coeff = complex(coeff)
-            if coeff == 0:
-                continue
-            self._check_key(key)
-            clean[key] = coeff
+            if coeff != 0:
+                clean[key] = coeff
         object.__setattr__(self, "terms", clean)
-
-    def _check_key(self, key) -> None:
-        alpha, beta = key
-        if self.statistics == "bose":
-            if (len(alpha) != self.modes or len(beta) != self.modes
-                    or any(d < 0 for d in alpha) or any(d < 0 for d in beta)):
-                raise ValidationError(f"bad bosonic term key {key!r}")
-        else:
-            top = 1 << self.modes
-            if not (0 <= alpha < top and 0 <= beta < top):
-                raise ValidationError(f"bad fermionic term key {key!r}")
 
     def _like(self, terms: dict) -> "NormalOrderedPolynomial":
         """A polynomial of this algebra over `terms`, without the
@@ -141,8 +152,8 @@ class NormalOrderedPolynomial:
                 dc = max(dc, sum(alpha))
                 da = max(da, sum(beta))
             else:
-                dc = max(dc, int(alpha).bit_count())
-                da = max(da, int(beta).bit_count())
+                dc = max(dc, alpha.bit_count())
+                da = max(da, beta.bit_count())
         return dc, da
 
     def is_zero(self) -> bool:
@@ -195,46 +206,15 @@ def annihilator(statistics: str, modes: int, k: int, hbar: float = 1.0
 # closed-form contraction
 
 
-def _bose_pair(key_a, key_b, hbar_powers: Sequence[float]):
-    """Normal form of a*^al a^be . a*^ga a^de as (key, coefficient) pairs.
-
-    Per mode a^k a*^l = sum_j j! C(k,j) C(l,j) hbar^j a*^(l-j) a^(k-j);
-    the integer weights multiply across modes and hbar enters once as
-    hbar_powers[sum j].  Every contraction choice gives a distinct key.
-    """
-    (al, be), (ga, de) = key_a, key_b
-    choices = [range(min(k, l) + 1) for k, l in zip(be, ga)]
-    for js in itertools.product(*choices):
-        weight = 1
-        for j, k, l in zip(js, be, ga):
-            weight *= math.factorial(j) * math.comb(k, j) * math.comb(l, j)
-        key = (tuple(x + l - j for x, l, j in zip(al, ga, js)),
-               tuple(k - j + y for k, j, y in zip(be, js, de)))
-        yield key, weight * hbar_powers[sum(js)]
-
-
-def _fermi_pair(key_a, key_b):
-    """Normal form of a*^c1 a^a1 . a*^c2 a^a2 as (key, sign) pairs.
-
-    Each subset S of a1 & c2 is contracted once: a^a1 = +/- a^ar a^S and
-    a*^c2 = +/- a*^S a*^cr split off S, a^S a*^S contracts to
-    (-1)^(k(k-1)/2), a^ar passes a*^cr, and the outer blocks merge.
-    """
-    (c1, a1), (c2, a2) = (map(int, key) for key in (key_a, key_b))
-    common = a1 & c2
-    s = common
-    while True:
-        ar, cr = a1 & ~s, c2 & ~s
-        if not (c1 & cr or ar & a2):
-            k = s.bit_count()
-            sign = (_merge_sign(ar, s) * _merge_sign(s, cr)
-                    * _merge_sign(c1, cr) * _merge_sign(ar, a2))
-            if (k * (k - 1) // 2 + ar.bit_count() * cr.bit_count()) & 1:
-                sign = -sign
-            yield (c1 | cr, ar | a2), sign
-        if s == 0:
-            return
-        s = (s - 1) & common
+def _bose_weights(k: int, l: int) -> list:
+    """[(j, j! C(k,j) C(l,j)) for j = 0..min(k, l)], the terms of
+    a^k a*^l = sum_j j! C(k,j) C(l,j) hbar^j a*^(l-j) a^(k-j)."""
+    row = [(0, 1)]
+    w = 1
+    for j in range(min(k, l)):
+        w = w * (k - j) * (l - j) // (j + 1)
+        row.append((j + 1, w))
+    return row
 
 
 def product(a: NormalOrderedPolynomial, b: NormalOrderedPolynomial,
@@ -247,23 +227,64 @@ def product(a: NormalOrderedPolynomial, b: NormalOrderedPolynomial,
         raise ValidationError(
             f"product degree would exceed the cap {degree_cap}; "
             "raise degree_cap explicitly if this is intended")
+    out: dict = {}
     if a.statistics == "bose":
         # repeated products, as contractions accumulate hbar one at a
         # time; unlike hbar ** j they overflow to inf instead of raising
         powers = [1.0]
         for _ in range(min(dc[1], db[0])):
             powers.append(powers[-1] * a.hbar)
-
-        def pair(key_a, key_b):
-            return _bose_pair(key_a, key_b, powers)
+        table: dict = {}
+        right = b.terms.items()
+        for (al, be), ca in a.terms.items():
+            annihilated = [m for m, k in enumerate(be) if k]
+            for (ga, de), cb in right:
+                c = ca * cb
+                cre = tuple(map(operator.add, al, ga))
+                ann = tuple(map(operator.add, be, de))
+                modes = [m for m in annihilated if ga[m]]
+                if not modes:
+                    key = (cre, ann)
+                    # c * 1.0, not c: an infinite c gains its nan part here
+                    out[key] = out.get(key, 0j) + c * powers[0]
+                    continue
+                rows = []
+                for m in modes:
+                    kl = be[m], ga[m]
+                    row = table.get(kl)
+                    if row is None:
+                        row = table[kl] = _bose_weights(*kl)
+                    rows.append(row)
+                for choice in itertools.product(*rows):
+                    cre_j, ann_j = list(cre), list(ann)
+                    weight, s = 1, 0
+                    for m, (j, w) in zip(modes, choice):
+                        cre_j[m] -= j
+                        ann_j[m] -= j
+                        weight *= w
+                        s += j
+                    key = (tuple(cre_j), tuple(ann_j))
+                    out[key] = out.get(key, 0j) + c * (weight * powers[s])
     else:
-        pair = _fermi_pair
-    out: dict = {}
-    for key_a, ca in a.terms.items():
-        for key_b, cb in b.terms.items():
-            c = ca * cb
-            for key, r in pair(key_a, key_b):
-                out[key] = out.get(key, 0j) + c * r
+        for (c1, a1), ca in a.terms.items():
+            p1 = _parity_mask(c1)
+            for (c2, a2), cb in b.terms.items():
+                c = ca * cb
+                common = a1 & c2
+                s = common
+                while True:
+                    ar, cr = a1 ^ s, c2 ^ s
+                    if not (c1 & cr or ar & a2):
+                        k = s.bit_count()
+                        odd = (((s ^ a2) & _parity_mask(ar)).bit_count()
+                               + (cr & (_parity_mask(s) ^ p1)).bit_count()
+                               + k * (k - 1) // 2
+                               + ar.bit_count() * cr.bit_count()) & 1
+                        key = (c1 | cr, ar | a2)
+                        out[key] = out.get(key, 0j) + c * (-1 if odd else 1)
+                    if not s:
+                        break
+                    s = (s - 1) & common
     if isinstance(a.hbar, (int, float)):
         return a._like(out)
     # an hbar such as numpy.float32 leaves numpy scalars to convert
@@ -280,7 +301,7 @@ def _conjugate_terms(statistics: str, terms: dict) -> dict:
     for (alpha, beta), coeff in terms.items():
         coeff = coeff.conjugate()
         if statistics == "fermi":
-            nc, na = int(alpha).bit_count(), int(beta).bit_count()
+            nc, na = alpha.bit_count(), beta.bit_count()
             if (nc * (nc - 1) // 2 + na * (na - 1) // 2) & 1:
                 coeff = -coeff
         key = (beta, alpha)
@@ -313,6 +334,14 @@ class WickSymbol:
     statistics: str
     modes: int
     terms: dict
+
+    def __post_init__(self) -> None:
+        if self.statistics not in ("bose", "fermi"):
+            raise ValidationError(f"unknown statistics {self.statistics!r}")
+        _require_int(self.modes, "modes")
+        object.__setattr__(self, "terms", {
+            _check_key(self.statistics, self.modes, key): coeff
+            for key, coeff in self.terms.items()})
 
     def conjugate(self) -> "WickSymbol":
         return WickSymbol(self.statistics, self.modes,
@@ -504,7 +533,7 @@ def _term_sort_key(statistics: str, key):
     alpha, beta = key
     if statistics == "bose":
         return (sum(alpha) + sum(beta), alpha, beta)
-    return (int(alpha).bit_count() + int(beta).bit_count(), alpha, beta)
+    return (alpha.bit_count() + beta.bit_count(), alpha, beta)
 
 
 def format_poly(a: NormalOrderedPolynomial) -> str:

@@ -44,6 +44,12 @@ level.
 count `_merge_sign` of its term pair and builds the product through the
 validating constructor; src forms one parity mask per left monomial and
 skips the checks for results built from valid operands.
+`product_pairwise` normal-orders a Weyl or Clifford product through one
+generator per term pair: bosons by `itertools.product` over every mode's
+contraction counts, each weight from factorials and binomials, fermions
+by four `_merge_sign` crossing counts per contracted subset; src walks
+the term pairs in one loop, with a per-call weight table and one parity
+formula a subset.
 `validating_element` and `validating_like` send every kernel result back
 through the checks of `GrassmannElement` and `NormalOrderedPolynomial`.
 
@@ -55,6 +61,7 @@ of its own; src has one map and swaps beta and gamma for the tilde pair.
 """
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -62,13 +69,13 @@ from typing import Sequence
 
 import numpy as np
 
-from qtoolkit.errors import NumericalError
+from qtoolkit.errors import NumericalError, ValidationError
 from qtoolkit.evolution import (_GAUSS_NODES, _MAGNUS_START_STEPS,
                                 _expm_pade, _sample_matrices, _tree_product)
 from qtoolkit.fock import (CommutationDefect, FockSpec, annihilation_matrix,
                            creation_matrix)
-from qtoolkit.grassmann import GrassmannElement, _merge_sign
-from qtoolkit.weyl_clifford import NormalOrderedPolynomial
+from qtoolkit.grassmann import GrassmannElement
+from qtoolkit.weyl_clifford import DEGREE_CAP, NormalOrderedPolynomial
 
 
 def _key_to_word(statistics: str, modes: int, key) -> tuple:
@@ -210,6 +217,97 @@ def word_reduction(a: NormalOrderedPolynomial, b: NormalOrderedPolynomial
             for key, r in reduced.items():
                 out[key] = out.get(key, 0j) + c * r
     return {key: c for key, c in out.items() if c != 0}
+
+
+def _merge_sign(mask_a: int, mask_b: int) -> int:
+    """Parity sign for concatenating canonical monomials a then b.
+
+    Counts crossings: each generator of b must pass the generators of a that
+    have larger index.
+    """
+    sign = 1
+    b = mask_b
+    while b:
+        low = b & -b
+        # generators of a strictly above this one
+        above = mask_a & ~(low | (low - 1))
+        if above.bit_count() & 1:
+            sign = -sign
+        b ^= low
+    return sign
+
+
+def _bose_pair(key_a, key_b, hbar_powers: Sequence[float]):
+    """Normal form of a*^al a^be . a*^ga a^de as (key, coefficient) pairs.
+
+    Per mode a^k a*^l = sum_j j! C(k,j) C(l,j) hbar^j a*^(l-j) a^(k-j);
+    the integer weights multiply across modes and hbar enters once as
+    hbar_powers[sum j].  Every contraction choice gives a distinct key.
+    """
+    (al, be), (ga, de) = key_a, key_b
+    choices = [range(min(k, l) + 1) for k, l in zip(be, ga)]
+    for js in itertools.product(*choices):
+        weight = 1
+        for j, k, l in zip(js, be, ga):
+            weight *= math.factorial(j) * math.comb(k, j) * math.comb(l, j)
+        key = (tuple(x + l - j for x, l, j in zip(al, ga, js)),
+               tuple(k - j + y for k, j, y in zip(be, js, de)))
+        yield key, weight * hbar_powers[sum(js)]
+
+
+def _fermi_pair(key_a, key_b):
+    """Normal form of a*^c1 a^a1 . a*^c2 a^a2 as (key, sign) pairs.
+
+    Each subset S of a1 & c2 is contracted once: a^a1 = +/- a^ar a^S and
+    a*^c2 = +/- a*^S a*^cr split off S, a^S a*^S contracts to
+    (-1)^(k(k-1)/2), a^ar passes a*^cr, and the outer blocks merge.
+    """
+    (c1, a1), (c2, a2) = key_a, key_b
+    common = a1 & c2
+    s = common
+    while True:
+        ar, cr = a1 & ~s, c2 & ~s
+        if not (c1 & cr or ar & a2):
+            k = s.bit_count()
+            sign = (_merge_sign(ar, s) * _merge_sign(s, cr)
+                    * _merge_sign(c1, cr) * _merge_sign(ar, a2))
+            if (k * (k - 1) // 2 + ar.bit_count() * cr.bit_count()) & 1:
+                sign = -sign
+            yield (c1 | cr, ar | a2), sign
+        if s == 0:
+            return
+        s = (s - 1) & common
+
+
+def product_pairwise(a: NormalOrderedPolynomial, b: NormalOrderedPolynomial,
+                     degree_cap: int = DEGREE_CAP
+                     ) -> NormalOrderedPolynomial:
+    """a*b with each term pair normal-ordered by its own generator."""
+    a._compatible(b)
+    dc = a.degree()
+    db = b.degree()
+    if max(dc[0] + db[0], dc[1] + db[1]) > degree_cap:
+        raise ValidationError(
+            f"product degree would exceed the cap {degree_cap}; "
+            "raise degree_cap explicitly if this is intended")
+    if a.statistics == "bose":
+        powers = [1.0]
+        for _ in range(min(dc[1], db[0])):
+            powers.append(powers[-1] * a.hbar)
+
+        def pair(key_a, key_b):
+            return _bose_pair(key_a, key_b, powers)
+    else:
+        pair = _fermi_pair
+    out: dict = {}
+    for key_a, ca in a.terms.items():
+        for key_b, cb in b.terms.items():
+            c = ca * cb
+            for key, r in pair(key_a, key_b):
+                out[key] = out.get(key, 0j) + c * r
+    if isinstance(a.hbar, (int, float)):
+        return a._like(out)
+    return NormalOrderedPolynomial(a.statistics, a.modes, a.hbar, out)
 
 
 def multiply_crossing(x: GrassmannElement, y: GrassmannElement

@@ -157,6 +157,29 @@ class TestExitCodes:
         assert message["error"] == "validation"
         assert str(cli.DENSE_DIM_MAX) in message["message"]
 
+    @pytest.mark.parametrize("extra, code", [(0, 3), (1, 2)],
+                             ids=["at-cap", "one-past-cap"])
+    def test_decohere_trials_cap_is_checked_before_any_work(
+            self, extra, code, capsys, monkeypatch):
+        from qtoolkit import decoherence
+
+        calls = []
+
+        def stub(*args, **kwargs):
+            calls.append(args)
+            raise cli.NumericalError("stub reached")
+
+        monkeypatch.setattr(decoherence, "average_density", stub)
+        code_got, out, err = invoke(
+            ["decohere", "sweep", "--trials",
+             str(cli.DECOHERE_TRIALS_MAX + extra)], capsys)
+        assert (code_got, out) == (code, "")
+        assert len(calls) == (extra == 0)
+        if extra:
+            message = json.loads(err)
+            assert message["error"] == "validation"
+            assert str(cli.DECOHERE_TRIALS_MAX) in message["message"]
+
 
 class TestDeterminism:
     def test_identical_argv_identical_bytes(self, capsysbinary):

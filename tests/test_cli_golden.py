@@ -85,6 +85,12 @@ ARGVS = [
     # a lambda window narrower than the node-hit tolerance: several nodes
     # hit each sample
     ["decohere", "sweep", "--trials", "1000", "--lam", "1e-15"],
+    # fermionic associativity, where a wrong contraction sign shows as a
+    # nonzero defect; every trial's defect at hbar = 0.3
+    ["weyl", "check", "--stat", "fermi", "--modes", "6", "--trials", "20",
+     "--terms", "5"],
+    ["weyl", "check", "--modes", "3", "--hbar", "0.3", "--terms", "5",
+     "--trials", "20", "--format", "csv"],
 ]
 
 

@@ -8,7 +8,11 @@ parity mask per left monomial.  Each test here recomputes a result with
 every intermediate rebuilt through the validating constructor and every
 Grassmann sign counted crossing by crossing (the routes in `oracles`), and
 asks for the same terms in the same order with the same coefficient bits,
-signed zeros included.  The public constructors keep every check.
+signed zeros included.  `product` walks every term pair in one loop, and
+its results are compared the same way with the route that normal-orders
+each pair by a generator of its own (`oracles.product_pairwise`).  The
+public constructors keep every check, and hold every term key and mask
+to the integer rule.
 """
 
 import math
@@ -16,16 +20,17 @@ import math
 import numpy as np
 import pytest
 
-from qtoolkit import grassmann
+from qtoolkit import grassmann, weyl_clifford
 from qtoolkit.errors import ValidationError
-from qtoolkit.grassmann import (GrassmannElement, _merge_sign, _parity_mask,
-                                element, generator, multiply,
-                                parse_expression, scalar)
-from qtoolkit.weyl_clifford import (NormalOrderedPolynomial, annihilator,
-                                    commutator, creator, involution, poly,
-                                    product)
+from qtoolkit.grassmann import (GrassmannElement, _parity_mask, element,
+                                generator, multiply, parse_expression,
+                                scalar)
+from qtoolkit.weyl_clifford import (NormalOrderedPolynomial, WickSymbol,
+                                    _bose_weights, annihilator, commutator,
+                                    creator, involution, poly, product)
 
 import oracles
+from oracles import _merge_sign
 
 
 def _sign(mask_a, mask_b):
@@ -59,7 +64,7 @@ def _bytes(x):
     """Everything a result holds, each coefficient as its exact bits."""
     head = ((x.n,) if isinstance(x, GrassmannElement)
             else (x.statistics, x.modes, x.hbar))
-    return head, [(key, type(c), c.real.hex(), c.imag.hex())
+    return head, [(repr(key), type(c), c.real.hex(), c.imag.hex())
                   for key, c in x.terms.items()]
 
 
@@ -156,6 +161,106 @@ def test_product_keeps_its_bytes(statistics, modes, hbar, validating):
         assert _bytes(call()) == _bytes(validating(call))
 
 
+@pytest.fixture
+def pairwise(monkeypatch):
+    """fn(*args) recomputed with every Weyl-Clifford product taken term
+    pair by term pair."""
+    def run(fn, *args):
+        with monkeypatch.context() as m:
+            m.setattr(weyl_clifford, "product", oracles.product_pairwise)
+            return fn(*args)
+    return run
+
+
+_HBARS = [1.0, 0.3, np.float64(0.5), np.float32(0.3)]
+
+
+def _product_calls(a, b, c, cap):
+    """Products, commutators and involutions of a, b and c, each looking
+    `product` up on its module when it runs."""
+    wc = weyl_clifford
+    return [lambda: wc.product(a, b, cap),
+            lambda: wc.product(wc.product(a, b, cap), c, cap),
+            lambda: wc.product(a, wc.product(b, c, cap), cap),
+            lambda: commutator(a, c, cap), lambda: commutator(b, a, cap),
+            lambda: involution(wc.product(a, b, cap)),
+            lambda: wc.product(involution(b), involution(a), cap)]
+
+
+@pytest.mark.parametrize("modes", [1, 2, 3, 4])
+@pytest.mark.parametrize("hbar", _HBARS)
+def test_bose_product_matches_pairwise_route(modes, hbar, pairwise):
+    rng = np.random.default_rng(300 + modes)
+    for _ in range(6):
+        a, b, c = (poly("bose", modes, {
+            tuple(tuple(int(d) for d in rng.integers(0, 5, size=modes))
+                  for _ in range(2)): _coeff(rng)
+            for _ in range(int(rng.integers(1, 4)))}, hbar=hbar)
+            for _ in range(3))
+        for call in _product_calls(a, b, c, 48 * modes):
+            assert _bytes(call()) == _bytes(pairwise(call))
+
+
+@pytest.mark.parametrize("modes", range(1, 11))
+def test_fermi_product_matches_pairwise_route(modes, pairwise):
+    rng = np.random.default_rng(400 + modes)
+    for density in (0.2, 0.5, 0.8):
+        a, b, c = (poly("fermi", modes, {
+            tuple(_mask(rng, modes, density) for _ in range(2)): _coeff(rng)
+            for _ in range(int(rng.integers(1, 6)))}) for _ in range(3))
+        for call in _product_calls(a, b, c, 6 * modes):
+            assert _bytes(call()) == _bytes(pairwise(call))
+
+
+@pytest.mark.parametrize("modes", [60, 64, 65, 100, 130])
+def test_fermi_product_matches_pairwise_route_past_64_bits(modes,
+                                                           pairwise):
+    rng = np.random.default_rng(500 + modes)
+    top = 1 << (modes - 1)
+    for _ in range(4):
+        a, b, c = (poly("fermi", modes, {
+            (_mask(rng, modes, 0.1) | top * int(rng.integers(0, 2)),
+             _mask(rng, modes, 0.1) | top * int(rng.integers(0, 2))):
+            _coeff(rng) for _ in range(3)}) for _ in range(3))
+        for call in _product_calls(a, b, c, 6 * modes):
+            assert _bytes(call()) == _bytes(pairwise(call))
+
+
+@pytest.mark.parametrize("statistics, modes", [("bose", 2), ("fermi", 4)])
+def test_product_matches_pairwise_route_past_overflow(statistics, modes,
+                                                      pairwise):
+    """Term products that overflow: an infinite c times r = 1.0 or -1 has a
+    nan part that c or -c alone lacks, so each c * r must stay."""
+    rng = np.random.default_rng(600 + modes)
+    huge = [1e200, -1e200, 1e200j, 3e300 - 1e200j]
+    for _ in range(6):
+        a, b, c = (_poly(rng, statistics, modes, 3, 1e300)
+                   for _ in range(3))
+        a = a.scale(complex(rng.choice(huge)))
+        b = b.scale(complex(rng.choice(huge)))
+        for call in _product_calls(a, b, c, 12 * modes):
+            assert _bytes(call()) == _bytes(pairwise(call))
+
+
+@pytest.mark.parametrize("statistics", ["bose", "fermi"])
+@pytest.mark.parametrize("hbar", _HBARS)
+def test_ladder_products_match_pairwise_route(statistics, hbar, pairwise):
+    ladders = [f(statistics, 3, k, hbar) for f in (creator, annihilator)
+               for k in (1, 2, 3)]
+    for x in ladders:
+        for y in ladders:
+            call = (lambda: x * y)
+            assert _bytes(call()) == _bytes(pairwise(call))
+
+
+def test_bose_weights_are_the_contraction_counts():
+    for k in range(13):
+        for l in range(13):
+            assert _bose_weights(k, l) == [
+                (j, math.factorial(j) * math.comb(k, j) * math.comb(l, j))
+                for j in range(min(k, l) + 1)]
+
+
 @pytest.mark.parametrize("call", [
     lambda: GrassmannElement(3, {8: 1.0}),
     lambda: GrassmannElement(3, {-1: 1.0}),
@@ -175,11 +280,37 @@ def test_product_keeps_its_bytes(statistics, modes, hbar, validating):
     lambda: NormalOrderedPolynomial("fermi", 1, 0.0, {}),
     lambda: NormalOrderedPolynomial("fermi", 1, math.nan, {}),
     lambda: NormalOrderedPolynomial("bose", 1, 1j, {}),
+    lambda: GrassmannElement(2, {1.5: 1}),
+    lambda: GrassmannElement(2, {True: 1}),
+    lambda: poly("bose", 1, {((1.5,), (0,)): 1}),
+    lambda: poly("bose", 2, {((0, 0), (np.float64(1), True)): 1}),
+    lambda: poly("bose", 1, {((1.5,), (0,)): 0}),
+    lambda: poly("fermi", 2, {(1.5, 0): 1}),
+    lambda: poly("fermi", 2, {(0, True): 1}),
+    lambda: grassmann.mixed(1, 1, {((1.5,), 0): 1}),
+    lambda: grassmann.mixed(1, 1, {((1,), True): 1}),
+    lambda: WickSymbol("fermi", 2, {(1.5, 0): 1}),
+    lambda: WickSymbol("bose", 1, {((0,), (-1,)): 1}),
+    lambda: WickSymbol("boson", 1, {}),
 ], ids=["mask-above-n", "negative-mask", "element-mask", "negative-n",
         "float-n", "bool-n", "scalar-n", "generator-index", "bose-key-length",
         "bose-negative-degree", "fermi-key-above-modes",
         "fermi-negative-key", "zero-modes", "float-modes", "statistics",
-        "zero-hbar", "nan-hbar", "complex-hbar"])
+        "zero-hbar", "nan-hbar", "complex-hbar", "float-mask", "bool-mask",
+        "bose-float-degree", "bose-numpy-float-and-bool-degree",
+        "bose-float-degree-zero-coefficient", "fermi-float-mask",
+        "fermi-bool-mask", "mixed-float-degree", "mixed-bool-mask",
+        "wick-float-mask", "wick-negative-degree", "wick-statistics"])
 def test_public_constructors_keep_every_check(call):
     with pytest.raises(ValidationError):
         call()
+
+
+def test_public_constructors_store_numpy_integer_keys_as_ints():
+    i = np.int64
+    made = [poly("bose", 2, {((i(1), np.int8(0)), (0, i(2))): 1}).terms,
+            poly("fermi", 3, {(i(5), np.uint8(2)): 1}).terms,
+            GrassmannElement(3, {i(6): 1}).terms,
+            grassmann.mixed(1, 2, {((i(2),), i(3)): 1}).terms]
+    assert [repr(list(terms)) for terms in made] == [
+        "[((1, 0), (0, 2))]", "[(5, 2)]", "[6]", "[((2,), 3)]"]
