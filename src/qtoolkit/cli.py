@@ -18,13 +18,15 @@ import argparse
 import json
 import math
 import sys
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (NumericalError, ValidationError, _require_finite,
                      _require_int, _require_positive)
 from .serialize import (complex_pair, matrix_from_json, to_csv_bytes,
                         to_json_bytes)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["run", "main", "emit"]
 
@@ -57,9 +59,28 @@ def _ints(text: str) -> list[int]:
             from exc
 
 
+def _capped(value: int, flag: str, cap: int, low: int = 1) -> None:
+    """Refuse an integer flag before any work if it exceeds cap."""
+    if _require_int(value, flag, low) > cap:
+        raise ValidationError(f"{flag} {value} is too many; at most {cap}")
+
+
+def _at_most(values: list, flag: str, cap: int) -> list:
+    """A list flag, refused before any work if it holds more than cap
+    values."""
+    if len(values) > cap:
+        raise ValidationError(f"{flag} has {len(values)} values; at most {cap}")
+    return values
+
+
 BETA_POINTS_MAX = 100_000
 # 64 chunks of decoherence._CHUNK trials, about 1 s per --alpha value
 DECOHERE_TRIALS_MAX = 1 << 22
+DECOHERE_ALPHAS_MAX = 16
+# the work of a trial grows with --terms cubed, and exponentially in --modes
+WEYL_TRIALS_MAX = 1000
+WEYL_TERMS_MAX = 16
+TROTTER_COUNTS_MAX = 16  # each --n entry forms two dim x dim exponentials
 
 
 def _beta_range(text: str) -> np.ndarray:
@@ -68,6 +89,8 @@ def _beta_range(text: str) -> np.ndarray:
     A range must have finite ends and step and at most BETA_POINTS_MAX
     points; it is counted before any array is allocated.
     """
+    import numpy as np
+
     parts = text.split(":")
     if len(parts) not in (1, 3):
         raise ValidationError("beta range must look like start:stop:step")
@@ -117,6 +140,8 @@ def _json_matrix(text: str) -> np.ndarray:
 
 
 def _cmd_fock_spectrum(args):
+    import numpy as np
+
     from .fock import FockSpec, quadratic_hamiltonian, \
         quadratic_hamiltonian_diagonal
 
@@ -160,11 +185,13 @@ def _cmd_fock_poisson(args):
 
 
 def _cmd_weyl_check(args):
+    modes = _require_int(args.modes, "--modes")
+    _capped(args.trials, "--trials", WEYL_TRIALS_MAX, 0)
+    _capped(args.terms, "--terms", WEYL_TERMS_MAX, 0)
+    import numpy as np
+
     from .weyl_clifford import poly, product
 
-    modes = _require_int(args.modes, "--modes")
-    _require_int(args.trials, "--trials", 0)
-    _require_int(args.terms, "--terms", 0)
     rng = np.random.default_rng(np.random.Philox(args.seed))
     rows = []
     worst = 0.0
@@ -220,6 +247,7 @@ def _cmd_grassmann_eval(args):
 
 
 def _cmd_evolve_trotter(args):
+    counts = _at_most(_ints(args.n), "--n", TROTTER_COUNTS_MAX)
     from .evolution import trotter_order
     from .fock import FockSpec
     from .weyl_clifford import canonical_quadratures
@@ -228,7 +256,7 @@ def _cmd_evolve_trotter(args):
                                 hbar=args.hbar))
     q, p = canonical_quadratures(spec)
     factors = [-0.5j * (p @ p), -0.5j * (q @ q)]
-    report = trotter_order(factors, args.t, _ints(args.n))
+    report = trotter_order(factors, args.t, counts)
     payload = {
         "cutoff": args.cutoff,
         "t": args.t,
@@ -246,6 +274,8 @@ def _cmd_evolve_trotter(args):
 
 
 def _default_two_level():
+    import numpy as np
+
     def family(lam, g):
         g = np.asarray(g, dtype=float)
         zero = np.zeros_like(g)
@@ -263,16 +293,17 @@ def _default_two_level():
 
 
 def _cmd_decohere_sweep(args):
+    _capped(args.trials, "--trials", DECOHERE_TRIALS_MAX)
+    alphas = _at_most(_floats(args.alpha), "--alpha", DECOHERE_ALPHAS_MAX)
+    import numpy as np
+
     from .decoherence import PerturbationEnsemble, average_density
 
-    if _require_int(args.trials, "--trials") > DECOHERE_TRIALS_MAX:
-        raise ValidationError(f"--trials {args.trials} is too many; at most "
-                              f"{DECOHERE_TRIALS_MAX}")
     family, path = _default_two_level()
     k0 = np.full((2, 2), 0.5, dtype=complex)
     rows = []
     entries = []
-    for alpha in _floats(args.alpha):
+    for alpha in alphas:
         ensemble = PerturbationEnsemble(
             family=family, path=path, alpha=alpha,
             lam_low=-args.lam, lam_high=args.lam,
@@ -297,6 +328,8 @@ def _cmd_decohere_sweep(args):
 
 
 def _cmd_lfunc_green(args):
+    import numpy as np
+
     from .lfunctional import two_point_green
 
     if args.n <= 0:

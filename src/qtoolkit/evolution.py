@@ -192,8 +192,9 @@ def trotter_order(factors: Sequence[np.ndarray], t: float,
     """Frobenius error of I_N against e^{t sum H_j} with a fitted order.
 
     The order is the negated slope of log error versus log N; for a
-    nontrivial splitting it sits near 1.  Every exponential is formed
-    before any product.
+    nontrivial splitting it sits near 1.  Each slice count's exponentials,
+    product and error are formed before the next count's, so the memory
+    held does not grow with the number of counts.
     """
     n_values = [_require_int(n, "slice count") for n in n_values]
     if len(set(n_values)) < 2:
@@ -201,10 +202,10 @@ def trotter_order(factors: Sequence[np.ndarray], t: float,
                               "fit an order")
     mats = _trotter_factors(factors, t)
     exact = _expm_pade(t * sum(mats))
-    exps = [_slice_exponentials(mats, t, n) for n in n_values]
     errors = {}
-    for n, e in zip(n_values, exps):
-        errors[n] = float(np.linalg.norm(_slice_product(e, n) - exact))
+    for n in n_values:
+        approx = _slice_product(_slice_exponentials(mats, t, n), n)
+        errors[n] = float(np.linalg.norm(approx - exact))
     ns = np.asarray(sorted(errors), dtype=float)
     es = np.asarray([errors[n] for n in sorted(errors)])
     if np.any(es <= 0):

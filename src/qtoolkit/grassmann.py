@@ -11,6 +11,14 @@ exp(1/2 sum a_ij e_i e_j) is the Pfaffian of a, computed in O(n^3) by
 Parlett-Reid elimination (the polynomial branch of det^{1/2}: block-diagonal
 blocks lambda_1..lambda_k integrate to lambda_1*...*lambda_k).
 
+exp, cos and sin of an even element are the finite Taylor series at its
+body a.  f(a) and its derivatives come from cmath (from numpy when a part
+of a exceeds 708 in size, where cmath rescales and the last bits differ),
+and each coefficient f^(l)(a) / l! is a multiply by the reciprocal of l!,
+the rounding of numpy's complex / int.  numpy loads only in the functions
+that take a matrix: `pfaffian`, the Gaussian integrals and
+`linear_change_of_variables`.
+
 A small mixed algebra (commuting variables x_i tensor Grassmann xi_i) backs
 the differentials d = sum xi_i d/dx_i and Delta = sum d/dx_i d/dxi_i, both
 squaring to zero exactly.
@@ -21,12 +29,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .errors import (NumericalError, ValidationError, _require_index,
                      _require_int)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "GrassmannElement",
@@ -109,7 +118,7 @@ class GrassmannElement:
         return self + other.scale(-1)
 
     def scale(self, factor: complex) -> "GrassmannElement":
-        # complex(): exp_element and cos_element scale by numpy scalars
+        # complex(): compose_even may scale by a caller's numpy scalars
         return GrassmannElement._valid(
             self.n, {m: complex(factor * c) for m, c in self.terms.items()})
 
@@ -201,18 +210,19 @@ def compose_even(derivatives: Sequence[complex], omega: GrassmannElement
         omega, [derivatives[l] / math.factorial(l) for l in range(need + 1)])
 
 
-def _series_at_body(x: GrassmannElement, coefficients: Sequence[complex]
+def _series_at_body(x: GrassmannElement, coefficients: Iterable[complex]
                     ) -> GrassmannElement:
     """sum_l coefficients[l] nu^l for the nilpotent part nu = x - body(x).
 
     The sum stops at the first vanishing power of nu, at the latest
-    nu^(n+1) = 0.
+    nu^(n+1) = 0, and draws no coefficient past the next one.
     """
     n = x.n
+    coefficients = iter(coefficients)
     nu = x - GrassmannElement._valid(n, {0: x.body()})
-    out = GrassmannElement._valid(n, {0: complex(coefficients[0])})
+    out = GrassmannElement._valid(n, {0: complex(next(coefficients))})
     power = GrassmannElement._valid(n, {0: 1.0 + 0j})
-    for c in coefficients[1:]:
+    for c in coefficients:
         power = multiply(power, nu)
         if power.is_zero():
             break
@@ -248,24 +258,53 @@ def _power(x: GrassmannElement, exponent: int) -> GrassmannElement:
     return _series_at_body(x, coefficients[::-1])
 
 
+def _over_factorial(d: complex, l: int) -> complex:
+    # d / l! as numpy's complex / int rounds it, a multiply by the
+    # reciprocal; Python's complex division differs in the last bit
+    s = 1.0 / math.factorial(l)
+    return complex((d.real + d.imag * 0.0) * s, (d.imag - d.real * 0.0) * s)
+
+
+def _at_body(omega: GrassmannElement, cycle: Callable) -> GrassmannElement:
+    """f(omega) for even omega, where cycle(lib, a) lists f(a), f'(a), ...
+    at the body a from lib's exp, cos and sin; the derivatives repeat with
+    its length."""
+    if not omega.is_even():
+        raise ValidationError("compose_even requires an even element")
+    a = complex(omega.body())
+    if abs(a.real) <= 708.0 and abs(a.imag) <= 708.0:
+        values = cycle(cmath, a)
+    else:
+        # past log(DBL_MAX / 4) cmath rescales and numpy does not, and
+        # their last bits differ: take numpy's, as earlier releases did
+        import numpy as np
+
+        with np.errstate(all="ignore"):
+            values = [complex(v) for v in cycle(np, a)]
+    if not all(cmath.isfinite(v) for v in values):
+        raise NumericalError(f"function value at the body {a!r} is not "
+                             "finite")
+    k = len(values)
+    return _series_at_body(omega, (_over_factorial(values[l % k], l)
+                                   for l in range(omega.n // 2 + 1)))
+
+
 def exp_element(omega: GrassmannElement) -> GrassmannElement:
-    a = omega.body()
-    e = np.exp(complex(a))
-    return compose_even([e] * (omega.n // 2 + 1), omega)
+    return _at_body(omega, lambda lib, a: (lib.exp(a),))
 
 
 def cos_element(omega: GrassmannElement) -> GrassmannElement:
-    a = complex(omega.body())
-    cycle = [np.cos(a), -np.sin(a), -np.cos(a), np.sin(a)]
-    derivs = [cycle[l % 4] for l in range(omega.n // 2 + 1)]
-    return compose_even(derivs, omega)
+    def cycle(lib, a):
+        c, s = lib.cos(a), lib.sin(a)
+        return c, -s, -c, s
+    return _at_body(omega, cycle)
 
 
 def sin_element(omega: GrassmannElement) -> GrassmannElement:
-    a = complex(omega.body())
-    cycle = [np.sin(a), np.cos(a), -np.sin(a), -np.cos(a)]
-    derivs = [cycle[l % 4] for l in range(omega.n // 2 + 1)]
-    return compose_even(derivs, omega)
+    def cycle(lib, a):
+        c, s = lib.cos(a), lib.sin(a)
+        return s, c, -s, -c
+    return _at_body(omega, cycle)
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +312,8 @@ def sin_element(omega: GrassmannElement) -> GrassmannElement:
 
 
 def _check_antisymmetric(a: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError("matrix must be square")
@@ -290,6 +331,8 @@ def pfaffian(a: np.ndarray) -> complex:
     a[k, k+1] as the next factor, and removes rows and columns k, k+1 by a
     skew-symmetric rank-2 update of the trailing block.
     """
+    import numpy as np
+
     a = _check_antisymmetric(a).copy()
     n = a.shape[0]
     if n % 2 == 1:
@@ -335,6 +378,8 @@ def linear_change_of_variables(a_matrix: np.ndarray, x: GrassmannElement
     The top coefficient picks up det(A); comparing Berezin integrals between
     old and new variables therefore carries the factor det(A)^{-1}.
     """
+    import numpy as np
+
     a_matrix = np.asarray(a_matrix, dtype=complex)
     n = x.n
     if a_matrix.shape != (n, n):

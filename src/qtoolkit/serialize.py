@@ -8,17 +8,23 @@ Conventions (stable across releases, relied on by the determinism tests):
 * CSV uses '.' as the decimal separator and '\\n' newlines regardless of
   locale, floats are rendered with ``repr`` (shortest round-trip form);
 * NaN or infinity anywhere in a result is an error, never serialized.
+
+The module loads no numpy: the matrix helpers import it when called, and
+the finiteness scan and `format_float` recognise numpy arrays and
+integers only once numpy is loaded, since no value can be one before.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Any, Iterable, Sequence
-
-import numpy as np
+import sys
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from .errors import NumericalError, _require_int
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "complex_pair",
@@ -37,6 +43,8 @@ def complex_pair(z: complex) -> list[float]:
 
 
 def matrix_to_json(m: np.ndarray) -> dict[str, Any]:
+    import numpy as np
+
     m = np.asarray(m)
     if m.ndim != 2:
         raise ValueError("matrix_to_json expects a 2-d array")
@@ -46,6 +54,8 @@ def matrix_to_json(m: np.ndarray) -> dict[str, Any]:
 
 
 def matrix_from_json(obj: dict[str, Any]) -> np.ndarray:
+    import numpy as np
+
     rows, cols = (_require_int(obj[k], k, 0) for k in ("rows", "cols"))
     data = obj["data"]
     if len(data) != rows * cols:
@@ -67,8 +77,10 @@ def _scan(value: Any, path: str) -> None:
     elif isinstance(value, complex):
         if not (math.isfinite(value.real) and math.isfinite(value.imag)):
             raise NumericalError(f"non-finite value at {path}: {value!r}")
-    elif isinstance(value, np.ndarray):
-        if value.size and not np.all(np.isfinite(value)):
+    else:
+        np = sys.modules.get("numpy")
+        if (np is not None and isinstance(value, np.ndarray) and value.size
+                and not np.all(np.isfinite(value))):
             raise NumericalError(f"non-finite array entry at {path}")
 
 
@@ -80,7 +92,8 @@ def check_finite(result: Any) -> Any:
 
 def format_float(x: float) -> str:
     """Shortest decimal string that round-trips to the same double."""
-    if isinstance(x, (int, np.integer)):
+    np = sys.modules.get("numpy")
+    if isinstance(x, int) or np is not None and isinstance(x, np.integer):
         return str(int(x))
     return repr(float(x))
 

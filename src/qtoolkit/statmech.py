@@ -252,6 +252,9 @@ class BoseTruncatedTrace:
     tail_bound: float
 
 
+BOSE_TRACE_TERMS_MAX = 1 << 18  # a Python loop of about 1 s at the cap
+
+
 def bose_gas_truncated_trace(eps: Sequence[float], beta: float,
                              cutoffs: Sequence[int]) -> BoseTruncatedTrace:
     """Truncated bosonic trace vs the closed form, with an analytic bound.
@@ -259,12 +262,17 @@ def bose_gas_truncated_trace(eps: Sequence[float], beta: float,
     The truncated partition sum runs over the occupation box prod(c_k+1)
     directly (sum of products route); the closed form is the geometric
     product.  Their gap is exactly Z * (1 - prod(1 - r^{c+1})) <=
-    Z * sum_k r_k^{c_k+1}, which is the returned tail bound.
+    Z * sum_k r_k^{c_k+1}, which is the returned tail bound.  The box may
+    hold at most BOSE_TRACE_TERMS_MAX occupations, checked before the sum.
     """
     eps = np.asarray(eps, dtype=float)
     cutoffs = [_require_int(c, "cutoffs", 0) for c in cutoffs]
     if len(cutoffs) != len(eps):
         raise ValidationError("need one cutoff per mode")
+    terms = math.prod(c + 1 for c in cutoffs)
+    if terms > BOSE_TRACE_TERMS_MAX:
+        raise ValidationError(f"occupation box has {terms} terms; at most "
+                              f"{BOSE_TRACE_TERMS_MAX}")
     closed = free_gas(eps, beta, "bose")
     r = np.exp(-beta * eps)
     z_trunc = 0.0

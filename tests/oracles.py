@@ -52,6 +52,10 @@ the term pairs in one loop, with a per-call weight table and one parity
 formula a subset.
 `validating_element` and `validating_like` send every kernel result back
 through the checks of `GrassmannElement` and `NormalOrderedPolynomial`.
+`elementary_numpy` takes exp, cos and sin at the Grassmann body from
+numpy's scalar functions and divides by l! through `compose_even`, as a
+numpy complex / int; src takes the values from cmath and multiplies by the
+reciprocal of l!, so that `import qtoolkit.grassmann` needs no numpy.
 
 `evolution_generator_branches` is the von Neumann generator on
 correlation coefficients derived by hand, one branch per term shape
@@ -74,7 +78,7 @@ from qtoolkit.evolution import (_GAUSS_NODES, _MAGNUS_START_STEPS,
                                 _expm_pade, _sample_matrices, _tree_product)
 from qtoolkit.fock import (CommutationDefect, FockSpec, annihilation_matrix,
                            creation_matrix)
-from qtoolkit.grassmann import GrassmannElement
+from qtoolkit.grassmann import GrassmannElement, compose_even
 from qtoolkit.weyl_clifford import DEGREE_CAP, NormalOrderedPolynomial
 
 
@@ -322,6 +326,21 @@ def multiply_crossing(x: GrassmannElement, y: GrassmannElement
             key = ma | mb
             out[key] = out.get(key, 0j) + _merge_sign(ma, mb) * ca * cb
     return GrassmannElement(x.n, out)
+
+
+def elementary_numpy(name: str, omega: GrassmannElement) -> GrassmannElement:
+    """exp, cos or sin of an even element from numpy scalars: the values at
+    the body by np.exp, np.cos and np.sin, each Taylor coefficient a numpy
+    complex / int division in `compose_even`."""
+    a = complex(omega.body())
+    if name == "exp":
+        cycle = [np.exp(a)]
+    elif name == "cos":
+        cycle = [np.cos(a), -np.sin(a), -np.cos(a), np.sin(a)]
+    else:
+        cycle = [np.sin(a), np.cos(a), -np.sin(a), -np.cos(a)]
+    need = omega.n // 2 + 1
+    return compose_even([cycle[l % len(cycle)] for l in range(need)], omega)
 
 
 def validating_element(cls, n: int, terms: dict) -> GrassmannElement:

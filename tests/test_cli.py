@@ -120,6 +120,9 @@ class TestExitCodes:
         (["weyl", "check", "--modes", "0"], 2, "validation"),
         (["weyl", "check", "--trials", "-1"], 2, "validation"),
         (["weyl", "check", "--terms", "-1"], 2, "validation"),
+        (["grassmann", "eval", "exp(710 + e1 e2)"], 3, "numerical"),
+        (["grassmann", "eval", "cos(1000i)"], 3, "numerical"),
+        (["grassmann", "eval", "exp(e1 e2)", "--modes", "400"], 0, None),
     ], ids=["green-dt-zero", "green-window-nan", "green-window-inf",
             "trotter-no-slices",
             "trotter-one-slice-count", "out-missing-dir", "poisson-overflow",
@@ -128,14 +131,18 @@ class TestExitCodes:
             "green-too-many-samples", "green-samples-overflow",
             "gns-empty-rho", "seed-past-64-bits", "zero-threads",
             "weyl-zero-modes", "weyl-negative-trials",
-            "weyl-negative-terms"])
+            "weyl-negative-terms", "grassmann-exp-overflow",
+            "grassmann-cos-overflow", "grassmann-400-generators"])
     def test_bad_input_exits_with_json_not_traceback(self, argv, code, kind,
                                                      tmp_path, capsys):
         argv = [a.format(missing_dir=tmp_path / "missing") for a in argv]
         got, out, err = invoke(argv, capsys)
         assert got == code
-        assert out == ""
         assert "Traceback" not in err
+        if kind is None:
+            assert err == ""
+            return
+        assert out == ""
         assert json.loads(err)["error"] == kind
 
 
@@ -179,6 +186,65 @@ class TestExitCodes:
             message = json.loads(err)
             assert message["error"] == "validation"
             assert str(cli.DECOHERE_TRIALS_MAX) in message["message"]
+
+
+    @pytest.mark.parametrize("extra, code", [(0, 3), (1, 2)],
+                             ids=["at-cap", "one-past-cap"])
+    @pytest.mark.parametrize("module, kernel, cap, argv", [
+        ("decoherence", "average_density", cli.DECOHERE_ALPHAS_MAX,
+         lambda k: ["decohere", "sweep", "--trials", "64", "--alpha",
+                    ",".join(["0.1"] * k)]),
+        ("weyl_clifford", "product", cli.WEYL_TRIALS_MAX,
+         lambda k: ["weyl", "check", "--trials", str(k)]),
+        ("weyl_clifford", "product", cli.WEYL_TERMS_MAX,
+         lambda k: ["weyl", "check", "--terms", str(k)]),
+        ("evolution", "trotter_order", cli.TROTTER_COUNTS_MAX,
+         lambda k: ["evolve", "trotter", "--n",
+                    ",".join(str(n) for n in range(1, k + 1))]),
+    ], ids=["decohere-alphas", "weyl-trials", "weyl-terms", "trotter-counts"])
+    def test_count_caps_are_checked_before_any_work(
+            self, module, kernel, cap, argv, extra, code, capsys,
+            monkeypatch):
+        calls = []
+
+        def stub(*args, **kwargs):
+            calls.append(args)
+            raise cli.NumericalError("stub reached")
+
+        monkeypatch.setattr(importlib.import_module(f"qtoolkit.{module}"),
+                            kernel, stub)
+        code_got, out, err = invoke(argv(cap + extra), capsys)
+        assert (code_got, out) == (code, "")
+        assert len(calls) == (extra == 0)
+        if extra:
+            message = json.loads(err)
+            assert message["error"] == "validation"
+            assert str(cap) in message["message"]
+
+
+class TestSerialize:
+    """Once numpy is loaded, arrays and numpy integers in a result are
+    still recognised, even if it loaded after qtoolkit.serialize."""
+
+    def test_numpy_values_after_a_late_numpy_import(self):
+        proc = fresh_python(["-c", (
+            "import sys, qtoolkit.serialize as s\n"
+            "assert 'numpy' not in sys.modules\n"
+            "import numpy as np\n"
+            "for bad in (np.array([1.0, np.nan]), np.array([[np.inf]])):\n"
+            "    for emit in (lambda: s.to_json_bytes({'m': bad}),\n"
+            "                 lambda: s.to_csv_bytes(('m',), [(bad,)])):\n"
+            "        try:\n"
+            "            emit()\n"
+            "        except s.NumericalError as exc:\n"
+            "            assert 'non-finite array entry' in str(exc)\n"
+            "        else:\n"
+            "            raise AssertionError('non-finite array emitted')\n"
+            "s.check_finite({'m': np.zeros(3)})\n"
+            "sys.stdout.buffer.write(s.to_csv_bytes(\n"
+            "    ('n', 'x'), [(np.int64(7), np.float64(0.5))]))\n")])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == b"n,x\n7,0.5\n"
 
 
 class TestDeterminism:
@@ -438,10 +504,37 @@ class TestImport:
             "print(json.dumps(sorted(sys.modules)))")])
         assert proc.returncode == 0, proc.stderr
         loaded = set(json.loads(proc.stdout))
-        lazy = {"scipy"} | {f"qtoolkit.{m}" for m in (
+        lazy = {"numpy", "scipy"} | {f"qtoolkit.{m}" for m in (
             "evolution", "decoherence", "lfunctional", "geometry_gns",
             "statmech", "grassmann", "weyl_clifford", "fock")}
         assert not lazy & loaded
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--help"], 0),
+        (["nope"], 2),
+        (["weyl", "check", "--seed", "-1"], 2),
+        (["grassmann", "eval", "exp(0.3 + 0.2i + e1 e2 - 2 e3 e4)"], 0),
+        (["grassmann", "eval", "cos(0.7i + e1 e2 e3 e4 + e5 e6)"], 0),
+        (["grassmann", "eval", "sin(1.5 + e1 e2 + e3 e4)", "--format",
+          "csv"], 0),
+        (["grassmann", "eval", "(1 + 2 e1)(e2 - 0.5i e1 e3)^2"], 0),
+        (["decohere", "sweep", "--alpha", ",".join(["0.1"] * 17)], 2),
+        (["weyl", "check", "--trials", "1001"], 2),
+        (["weyl", "check", "--terms", "17"], 2),
+        (["evolve", "trotter", "--n", ",".join(map(str, range(1, 18)))], 2),
+    ], ids=["help", "usage-error", "bad-seed", "grassmann-exp",
+            "grassmann-cos", "grassmann-sin", "grassmann-product",
+            "decohere-alpha-cap", "weyl-trials-cap", "weyl-terms-cap",
+            "trotter-counts-cap"])
+    def test_command_without_arrays_loads_no_numpy(self, argv, code):
+        proc = fresh_python(["-c", (
+            "import json, sys\n"
+            "from qtoolkit.cli import run\n"
+            "code = run(json.loads(sys.argv[1]))\n"
+            "print(json.dumps([code, 'numpy' in sys.modules]))\n"),
+            json.dumps(argv)])
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [code, False]
 
     def test_package_import_loads_no_numpy(self):
         # errors.py states every input rule without importing numpy

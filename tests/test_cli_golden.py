@@ -91,6 +91,15 @@ ARGVS = [
      "--terms", "5"],
     ["weyl", "check", "--modes", "3", "--hbar", "0.3", "--terms", "5",
      "--trials", "20", "--format", "csv"],
+    # Grassmann functions of a real, a complex and an imaginary body: the
+    # Taylor coefficients round like numpy's complex / int (a multiply by
+    # the reciprocal), which a plain complex division does not
+    ["grassmann", "eval", "sin(1.5 + e1 e2 + e3 e4 + e5 e6 + e7 e8)"],
+    ["grassmann", "eval",
+     "sin(0.25 + 0.5i + e1 e2 + e3 e4 + e5 e6 + e7 e8)"],
+    ["grassmann", "eval", "exp(0.3 + 0.2i + e1 e2 - 2 e3 e4 + e5 e6)",
+     "--format", "csv"],
+    ["grassmann", "eval", "cos(0.7i + e1 e2 e3 e4 + e5 e6 + e7 e8)"],
 ]
 
 

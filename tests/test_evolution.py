@@ -176,6 +176,23 @@ def test_trotter_order_errors_equal_alternating_route_random(rng):
         n: e.hex() for n, e in expected.items()}
 
 
+def test_trotter_order_peak_does_not_grow_with_slice_counts():
+    # each count's two 41 x 41 exponentials are freed before the next
+    factors = oscillator_factors(40)
+
+    def peak(n_values):
+        tracemalloc.start()
+        try:
+            trotter_order(factors, 1.0, n_values)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    counts = [16, 32, 64, 128, 256, 512, 1024, 2048]
+    small, large = peak(counts[:2]), peak(counts)
+    assert large <= 1.05 * small
+
+
 @pytest.mark.parametrize("factors, t, n_values, match", [
     ([np.eye(2), np.eye(3)], 1.0, [4, 8], "square dimension"),
     ([np.eye(2), np.ones((2, 3))], 1.0, [4, 8], "square dimension"),

@@ -30,7 +30,7 @@ from qtoolkit.grassmann import (
 
 from qtoolkit.grassmann import _power
 
-from oracles import pfaffian_expansion
+from oracles import elementary_numpy, pfaffian_expansion
 
 
 def eps(n, *indices):
@@ -223,6 +223,77 @@ class TestCompose:
         got = exp_element(omega)
         assert got.terms[0] == pytest.approx(math.exp(0.3))
         assert got.terms[0b11] == pytest.approx(0.5 * math.exp(0.3))
+
+
+def _bits(x: GrassmannElement) -> list:
+    return [(m, c.real.hex(), c.imag.hex()) for m, c in x.terms.items()]
+
+
+def _even_element(rng, n, body):
+    masks = [m for m in range(1, 1 << n) if m.bit_count() % 2 == 0]
+    terms = {0: body}
+    for _ in range(int(rng.integers(1, 7))):
+        z = rng.normal(size=2) * 10.0 ** rng.uniform(-3, 1, size=2)
+        terms[int(rng.choice(masks))] = complex(*z)
+    return GrassmannElement(n, terms)
+
+
+class TestElementaryFunctionBytes:
+    """exp, cos and sin take their body values from cmath and round each
+    Taylor coefficient as numpy's complex / int does: the terms equal the
+    numpy-scalar route's in key order and in every bit, signed zeros
+    included."""
+
+    @pytest.mark.parametrize("name, fn", [
+        ("exp", exp_element), ("cos", cos_element), ("sin", sin_element)])
+    def test_terms_match_numpy_scalar_route(self, rng, name, fn):
+        for n in (2, 4, 5, 6, 8, 10):
+            for _ in range(12):
+                re, im = rng.normal(size=2) * 10.0 ** rng.uniform(-4, 1.3,
+                                                                  size=2)
+                for body in (complex(re, im), complex(re, 0.0),
+                             complex(re, -0.0), complex(0.0, im),
+                             complex(-0.0, im), 0j):
+                    omega = _even_element(rng, n, body)
+                    want = elementary_numpy(name, omega)
+                    assert _bits(fn(omega)) == _bits(want), (n, body)
+
+    @pytest.mark.parametrize("name, fn", [
+        ("exp", exp_element), ("cos", cos_element), ("sin", sin_element)])
+    @pytest.mark.parametrize("body", [
+        complex(708.7, 0.3), complex(709.6, -0.0), complex(-720.0, 2.0),
+        complex(0.2, 709.5), complex(-1.1, -708.5), complex(1e300, 0.0)])
+    def test_terms_match_past_cmath_rescaling(self, name, fn, body):
+        # where cmath rescales a large argument the values come from numpy;
+        # small nilpotent terms keep the series within double range
+        omega = GrassmannElement(4, {0: body, 0b11: 0.25,
+                                     0b1100: -0.125 + 0.0625j})
+        with np.errstate(all="ignore"):
+            want = _bits(elementary_numpy(name, omega))
+        if all(math.isfinite(float.fromhex(h)) for _, *p in want for h in p):
+            assert _bits(fn(omega)) == want
+        else:
+            with pytest.raises(NumericalError, match="not finite"):
+                fn(omega)
+
+    @pytest.mark.parametrize("text", ["exp(710)", "cos(800i + e1 e2)",
+                                      "sin(1000i)", "exp(710 + 0.5i)"])
+    def test_value_beyond_double_range_is_numerical_error(self, text):
+        with pytest.raises(NumericalError, match="not finite"):
+            parse_expression(text)
+
+    @pytest.mark.parametrize("fn", [exp_element, cos_element, sin_element])
+    @pytest.mark.parametrize("body", [math.inf, math.nan,
+                                      complex(0.0, math.inf)])
+    def test_non_finite_body_is_numerical_error(self, fn, body):
+        omega = GrassmannElement._valid(2, {0: complex(body), 3: 1 + 0j})
+        with pytest.raises(NumericalError, match="not finite"):
+            fn(omega)
+
+    def test_series_takes_no_coefficient_past_the_last_power(self):
+        # 1 / l! leaves double range past l = 170; exp(e1 e2) needs l <= 1
+        got = exp_element(eps(400, 1, 2))
+        assert got.terms == {0: 1 + 0j, 0b11: 1 + 0j}
 
 
 class TestGaussianIntegral:

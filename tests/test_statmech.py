@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import fermi_trace_fraction
+from qtoolkit import statmech
 from qtoolkit.errors import NumericalError, ValidationError
 from qtoolkit.evolution import SymbolGrid, mehler_kernel
 from qtoolkit.statmech import (
@@ -256,6 +257,31 @@ def test_bose_truncated_trace_within_tail_bound():
     r = np.exp(-1.2 * np.array([1.0, 1.7]))
     predicted = res.z_closed * float(np.prod(1.0 - r ** np.array([9, 7])))
     assert res.z_truncated == pytest.approx(predicted, rel=1e-12)
+
+
+@pytest.mark.parametrize("cutoffs, past", [
+    ([511, 511], False), ([(1 << 18) - 1], False),
+    ([512, 511], True), ([1 << 18], True), ([30] * 6, True)],
+    ids=["two-modes-at-cap", "one-mode-at-cap", "two-modes-past-cap",
+         "one-mode-past-cap", "six-modes"])
+def test_bose_truncated_trace_box_cap_is_checked_before_the_sum(
+        cutoffs, past, monkeypatch):
+    calls = []
+
+    def stub(*args):
+        calls.append(args)
+        raise NumericalError("stub reached")
+
+    monkeypatch.setattr(statmech.itertools, "product", stub)
+    eps = [1.0] * len(cutoffs)
+    if past:
+        with pytest.raises(ValidationError, match=str(
+                statmech.BOSE_TRACE_TERMS_MAX)):
+            bose_gas_truncated_trace(eps, 1.0, cutoffs)
+    else:
+        with pytest.raises(NumericalError, match="stub reached"):
+            bose_gas_truncated_trace(eps, 1.0, cutoffs)
+    assert len(calls) == (not past)
 
 
 def test_bose_truncated_trace_tightens_with_cutoff():
