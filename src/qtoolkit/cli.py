@@ -80,7 +80,6 @@ DECOHERE_ALPHAS_MAX = 16
 # the work of a trial grows with --terms cubed, and exponentially in --modes
 WEYL_TRIALS_MAX = 1000
 WEYL_TERMS_MAX = 16
-TROTTER_COUNTS_MAX = 16  # each --n entry forms two dim x dim exponentials
 
 
 def _beta_range(text: str) -> np.ndarray:
@@ -115,6 +114,11 @@ def _beta_range(text: str) -> np.ndarray:
 
 GREEN_SAMPLES_MAX = 100_000
 DENSE_DIM_MAX = 2048
+# each --n entry forms two dim x dim exponentials and a matrix power, so
+# its time grows with dim^3; the budget admits two entries (about 100 s)
+# at DENSE_DIM_MAX and the full 16 up to dim 1024
+TROTTER_COUNTS_MAX = 16
+TROTTER_WORK_MAX = 2 * DENSE_DIM_MAX ** 3
 
 
 def _dense_spec(spec):
@@ -254,6 +258,8 @@ def _cmd_evolve_trotter(args):
 
     spec = _dense_spec(FockSpec(statistics="bose", cutoffs=(args.cutoff,),
                                 hbar=args.hbar))
+    _at_most(counts, f"--n at Fock dimension {spec.dim}",
+             TROTTER_WORK_MAX // spec.dim ** 3)
     q, p = canonical_quadratures(spec)
     factors = [-0.5j * (p @ p), -0.5j * (q @ q)]
     report = trotter_order(factors, args.t, counts)

@@ -12,11 +12,11 @@ Parlett-Reid elimination (the polynomial branch of det^{1/2}: block-diagonal
 blocks lambda_1..lambda_k integrate to lambda_1*...*lambda_k).
 
 exp, cos and sin of an even element are the finite Taylor series at its
-body a.  f(a) and its derivatives come from cmath (from numpy when a part
-of a exceeds 708 in size, where cmath rescales and the last bits differ),
-and each coefficient f^(l)(a) / l! is a multiply by the reciprocal of l!,
-the rounding of numpy's complex / int.  numpy loads only in the functions
-that take a matrix: `pfaffian`, the Gaussian integrals and
+body a.  f(a) and its derivatives come from cmath, so exp, cos and sin
+load no numpy, and a value beyond double range is a NumericalError.  Each
+coefficient f^(l)(a) / l! is a multiply by the reciprocal of l!, the
+rounding of numpy's complex / int.  numpy loads only in the functions that
+take a matrix: `pfaffian`, the Gaussian integrals and
 `linear_change_of_variables`.
 
 A small mixed algebra (commuting variables x_i tensor Grassmann xi_i) backs
@@ -266,43 +266,38 @@ def _over_factorial(d: complex, l: int) -> complex:
 
 
 def _at_body(omega: GrassmannElement, cycle: Callable) -> GrassmannElement:
-    """f(omega) for even omega, where cycle(lib, a) lists f(a), f'(a), ...
-    at the body a from lib's exp, cos and sin; the derivatives repeat with
-    its length."""
+    """f(omega) for even omega, where cycle(a) lists f(a), f'(a), ... at the
+    body a from cmath's exp, cos and sin; the derivatives repeat with its
+    length."""
     if not omega.is_even():
         raise ValidationError("compose_even requires an even element")
     a = complex(omega.body())
-    if abs(a.real) <= 708.0 and abs(a.imag) <= 708.0:
-        values = cycle(cmath, a)
-    else:
-        # past log(DBL_MAX / 4) cmath rescales and numpy does not, and
-        # their last bits differ: take numpy's, as earlier releases did
-        import numpy as np
-
-        with np.errstate(all="ignore"):
-            values = [complex(v) for v in cycle(np, a)]
+    message = f"function value at the body {a!r} is not finite"
+    try:
+        values = cycle(a)
+    except (OverflowError, ValueError) as exc:  # beyond double range
+        raise NumericalError(message) from exc
     if not all(cmath.isfinite(v) for v in values):
-        raise NumericalError(f"function value at the body {a!r} is not "
-                             "finite")
+        raise NumericalError(message)
     k = len(values)
     return _series_at_body(omega, (_over_factorial(values[l % k], l)
                                    for l in range(omega.n // 2 + 1)))
 
 
 def exp_element(omega: GrassmannElement) -> GrassmannElement:
-    return _at_body(omega, lambda lib, a: (lib.exp(a),))
+    return _at_body(omega, lambda a: (cmath.exp(a),))
 
 
 def cos_element(omega: GrassmannElement) -> GrassmannElement:
-    def cycle(lib, a):
-        c, s = lib.cos(a), lib.sin(a)
+    def cycle(a):
+        c, s = cmath.cos(a), cmath.sin(a)
         return c, -s, -c, s
     return _at_body(omega, cycle)
 
 
 def sin_element(omega: GrassmannElement) -> GrassmannElement:
-    def cycle(lib, a):
-        c, s = lib.cos(a), lib.sin(a)
+    def cycle(a):
+        c, s = cmath.cos(a), cmath.sin(a)
         return s, c, -s, -c
     return _at_body(omega, cycle)
 

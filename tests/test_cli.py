@@ -201,7 +201,15 @@ class TestExitCodes:
         ("evolution", "trotter_order", cli.TROTTER_COUNTS_MAX,
          lambda k: ["evolve", "trotter", "--n",
                     ",".join(str(n) for n in range(1, k + 1))]),
-    ], ids=["decohere-alphas", "weyl-trials", "weyl-terms", "trotter-counts"])
+        # the budget shrinks with dim^3; stubbing the quadratures builds
+        # no large matrix
+        *[("weyl_clifford", "canonical_quadratures",
+           cli.TROTTER_WORK_MAX // (c + 1) ** 3,
+           lambda k, c=c: ["evolve", "trotter", "--cutoff", str(c), "--n",
+                           ",".join(str(n) for n in range(1, k + 1))])
+          for c in (1499, 2047)],
+    ], ids=["decohere-alphas", "weyl-trials", "weyl-terms", "trotter-counts",
+            "trotter-work-dim-1500", "trotter-work-dim-2048"])
     def test_count_caps_are_checked_before_any_work(
             self, module, kernel, cap, argv, extra, code, capsys,
             monkeypatch):
