@@ -100,6 +100,10 @@ ARGVS = [
     ["grassmann", "eval", "exp(0.3 + 0.2i + e1 e2 - 2 e3 e4 + e5 e6)",
      "--format", "csv"],
     ["grassmann", "eval", "cos(0.7i + e1 e2 e3 e4 + e5 e6 + e7 e8)"],
+    # the caps: the largest Green cutoff (n = 28) over 100,000 samples,
+    # and a Poisson defect at Fock dimension 2,048
+    ["lfunc", "green", "--n", "28", "--window", "5000", "--dt", "0.05"],
+    ["fock", "poisson", "--cutoffs", "2047", "--f", "0.5"],
 ]
 
 
