@@ -122,12 +122,11 @@ TROTTER_WORK_MAX = 2 * DENSE_DIM_MAX ** 3
 
 
 def _dense_spec(spec):
-    """The Fock space of a command that builds dense dim x dim matrices,
-    rejected before any is built if dim exceeds DENSE_DIM_MAX."""
+    """The Fock space of a command capped at DENSE_DIM_MAX, checked before
+    any work; `fock spectrum` and `evolve trotter` build dim x dim matrices."""
     if spec.dim > DENSE_DIM_MAX:
         raise ValidationError(
-            f"Fock dimension {spec.dim} is too large for dense matrices; "
-            f"at most {DENSE_DIM_MAX}")
+            f"Fock dimension {spec.dim} is too large; at most {DENSE_DIM_MAX}")
     return spec
 
 
@@ -340,6 +339,7 @@ def _cmd_lfunc_green(args):
 
     if args.n <= 0:
         raise ValidationError("need a positive occupation for a pole fit")
+    _require_positive(args.window, "--window")
     _require_positive(args.dt, "--dt")
     samples = args.window / args.dt  # inf if the quotient overflows
     if samples > GREEN_SAMPLES_MAX:

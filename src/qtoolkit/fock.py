@@ -474,13 +474,15 @@ def poisson_eigen_defect(spec: FockSpec, f: Sequence[complex], k: int) -> Poisso
         |f_k|^{c_k+1} / sqrt(hbar^{c_k} c_k!) * prod_{j != k} s_j,
     where s_j^2 = sum_{n<=c_j} |f_j|^{2n} / (hbar^n n!) is the truncated
     single-mode norm.  The returned tail_bound is that closed form; `defect`
-    is the matrix-route evaluation.
+    applies the ladder word a_k to Theta_f.
     """
     km = _require_index(k, spec.modes, "mode index")
     f = np.asarray(f, dtype=complex)
-    theta = poisson_vector(spec, f)
-    a_k = annihilation_matrix(spec, k)
-    resid = a_k @ theta.amplitudes - f[km] * theta.amplitudes
+    theta = poisson_vector(spec, f).amplitudes
+    rows, weights = _ladder_words(_letter_tables(spec), False, [km])
+    keep = weights != 0  # n_k = 0 gives 0 at a row another column reaches
+    resid = -f[km] * theta
+    resid[rows[keep]] += weights[keep] * theta[keep]
     c = spec.cutoffs[km]
     with np.errstate(over="ignore"):
         defect = _scaled_norm(resid)

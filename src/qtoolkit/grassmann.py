@@ -538,6 +538,8 @@ def parse_expression(text: str, n: int | None = None) -> GrassmannElement:
     """Parse expressions like "cos(e1 e2 + e3 e4)" into Lambda_n.
 
     When n is omitted it is inferred as the largest generator index used.
+    A number literal beyond double range is a ValidationError, and a result
+    with a coefficient beyond it a NumericalError.
     """
     indices: list[int] = []
     probe = _Tokenizer(text)
@@ -618,6 +620,9 @@ def parse_expression(text: str, n: int | None = None) -> GrassmannElement:
                 val = float(number)
             except ValueError as exc:
                 raise ValidationError(f"bad number {number!r}") from exc
+            if math.isinf(val):
+                raise ValidationError(f"a number of {len(number)} digits "
+                                      "exceeds double range")
             return scalar(size, 1j * val if imag else val)
         if ch == "e" and tok.pos + 1 < len(tok.text) and tok.text[tok.pos + 1].isdigit():
             tok.pos += 1
@@ -639,6 +644,8 @@ def parse_expression(text: str, n: int | None = None) -> GrassmannElement:
     result = parse_expr()
     if tok.peek():
         raise ValidationError(f"trailing input: {text[tok.pos:]!r}")
+    if not all(cmath.isfinite(c) for c in result.terms.values()):
+        raise NumericalError("a result coefficient exceeds double range")
     return result
 
 

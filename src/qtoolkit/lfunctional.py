@@ -22,9 +22,9 @@ integrated by exact exponentiation.
 
 The module also carries Gaussian closed forms (coherent, thermal), a
 lattice toy comparing the full Weyl-form evolution kernel against its
-small-hbar limit, two-point Green functions with pole extraction from a
-windowed Fourier transform, and a graded-grid demonstration of the
-pole-term asymptotics of Fourier transforms.
+small-hbar limit, two-point Green functions from the ladder band of the
+letter tables, with poles from a windowed Fourier transform, and a
+graded-grid demonstration of the pole-term asymptotics of Fourier transforms.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ import numpy as np
 from .errors import (NumericalError, ValidationError, _hermitian,
                      _require_finite, _require_index, _require_int,
                      _require_positive)
-from .fock import (DensityMatrix, FockSpec, _monomials, annihilation_matrix,
-                   creation_matrix)
+from .fock import (DensityMatrix, FockSpec, _letter_tables, _monomials,
+                   annihilation_matrix, creation_matrix)
 from .serialize import matrix_from_json, matrix_to_json
 from .weyl_clifford import NormalOrderedPolynomial, involution
 
@@ -724,7 +724,7 @@ def _fit_pole(taus: np.ndarray, samples: np.ndarray) -> tuple:
     return estimate, resolution
 
 
-GREEN_CUTOFF_MAX = 1000  # dense (c+1) x (c+1) ladder matrices; n up to ~28
+GREEN_CUTOFF_MAX = 1000  # bounds time and the phase-table block; n to ~28
 
 
 def two_point_green(n_profile: Sequence[float], eps_profile: Sequence[float],
@@ -735,7 +735,8 @@ def two_point_green(n_profile: Sequence[float], eps_profile: Sequence[float],
     The state is the geometric (thermal) density with occupation n on a
     cutoff chosen so the neglected tail is below 1e-15 (an occupation that
     needs a cutoff above GREEN_CUTOFF_MAX is rejected); the time
-    dependence comes from eigenphase sums of actual ladder matrices, not
+    dependence comes from eigenphase sums over the band of ladder factors
+    in the letter tables, <i| a+ |i-1> <i-1| a |i> p_i and its mirror, not
     from a closed form, exponentiating each distinct eigenfrequency once
     (708 weights share 10 at n = 20).  The pole of g_less is located from the
     discrete Fourier transform of the samples with parabolic refinement
@@ -772,21 +773,19 @@ def two_point_green(n_profile: Sequence[float], eps_profile: Sequence[float],
     spec = FockSpec(statistics="bose", cutoffs=(cutoff,), hbar=hbar)
     probs = (1.0 - w) * w ** np.arange(cutoff + 1)  # [1, 0, ...] at w = 0
     probs = probs / probs.sum()
-    k_mat = np.diag(probs).astype(complex)
-
-    a = annihilation_matrix(spec, 1)
-    adag = a.conj().T
+    factor = _letter_tables(spec)[1].astype(complex)  # complex, for the zgemv
+    up, down = factor[0, :-1], factor[1, 1:]  # a+: i-1 -> i, a: i -> i-1
     energies = eps * hbar * np.arange(cutoff + 1)
-    freq_matrix = np.subtract.outer(energies, energies) / hbar
+    freqs = (energies[1:] - energies[:-1]) / hbar
 
-    def sampled(weight, sign_scale):
+    def sampled(weight, freq, sign_scale):
         idx = np.nonzero(np.abs(weight) > 0)
-        trace = [sign_scale * _phase_trace(weight[idx], freq_matrix[idx], at)
+        trace = [sign_scale * _phase_trace(weight[idx], freq[idx], at)
                  for at in (taus, np.zeros(1))]
         return trace[0], complex(trace[1][0])
 
-    g_less, g_less_zero = sampled(adag * (a @ k_mat).T, 1.0 / hbar)
-    g_greater, g_greater_zero = sampled(a * (adag @ k_mat).T, 1.0)
+    g_less, g_less_zero = sampled(up * (down * probs[1:]), freqs, 1.0 / hbar)
+    g_greater, g_greater_zero = sampled(down * (up * probs[:-1]), -freqs, 1.0)
 
     if np.abs(g_less).max() == 0:
         pole, res = float("nan"), 2.0 * np.pi / (len(taus) * float(dtaus[0]))

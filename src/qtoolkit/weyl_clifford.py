@@ -445,11 +445,6 @@ def canonical_quadratures(spec: fock.FockSpec) -> list[np.ndarray]:
     return us
 
 
-def _exp_i_hermitian(h: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(1j * vals)) @ vecs.conj().T
-
-
 @dataclass(frozen=True)
 class WeylCheckResult:
     defect: float
@@ -468,6 +463,8 @@ def weyl_exponential_check(spec: fock.FockSpec, alpha: Sequence[float],
     total occupation <= max_level, where truncation tails are smallest.
     sigma is the canonical per-mode pairing SigmaForm.canonical.
     """
+    from .evolution import expm  # deferred: importing this module stays light
+
     if spec.statistics != "bose":
         raise ValidationError("exponential Weyl check requires bosons")
     sigma = SigmaForm.canonical(spec.modes)
@@ -479,7 +476,7 @@ def weyl_exponential_check(spec: fock.FockSpec, alpha: Sequence[float],
 
     def v_op(coeffs: np.ndarray) -> np.ndarray:
         h = sum(c * u for c, u in zip(coeffs, us))
-        return _exp_i_hermitian(h)
+        return expm(h, -1.0)  # exp(i h)
 
     phase = np.exp(-0.5j * spec.hbar * float(alpha @ sigma.matrix @ beta))
     diff = v_op(alpha) @ v_op(beta) - phase * v_op(alpha + beta)

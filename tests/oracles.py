@@ -31,8 +31,14 @@ src multiplies the last frame by the product of the overlap phases.
 
 `phase_trace_dense` exponentiates every (tau, frequency) entry of a Green
 function; src exponentiates each distinct frequency once and gathers the
-columns.  `hbar_sweep_loop` integrates the classical lattice flow and each
-hbar flow by an RK4 run of its own; src stacks them in one run.
+columns.  `two_point_green_dense` reads the Green weights off dense
+(c+1) x (c+1) ladder matrices and `poisson_eigen_defect_dense` applies
+the dense a_k to the Poisson vector; src takes both from the letter
+tables of the ladder-word kernel.  `exp_i_hermitian` is the eigenbasis
+exponential that `weyl_exponential_check` once kept for itself; src
+calls `evolution.expm(h, -1.0)`.  `hbar_sweep_loop` integrates the
+classical lattice flow and each hbar flow by an RK4 run of its own; src
+stacks them in one run.
 `phase_table_eval` is the barycentric formula of the decoherence phase
 table with a fresh temporary per step, testing every node for a hit; src
 reuses one buffer and tests only each lambda's two neighbouring nodes.
@@ -76,9 +82,12 @@ import numpy as np
 from qtoolkit.errors import NumericalError, ValidationError
 from qtoolkit.evolution import (_GAUSS_NODES, _MAGNUS_START_STEPS,
                                 _expm_pade, _sample_matrices, _tree_product)
-from qtoolkit.fock import (CommutationDefect, FockSpec, annihilation_matrix,
-                           creation_matrix)
+from qtoolkit.fock import (CommutationDefect, FockSpec, PoissonDefect,
+                           _poisson_coefficients, _scaled_norm,
+                           annihilation_matrix, creation_matrix,
+                           poisson_vector)
 from qtoolkit.grassmann import GrassmannElement, compose_even
+from qtoolkit.lfunctional import GreenResult, _fit_pole, _phase_trace
 from qtoolkit.weyl_clifford import DEGREE_CAP, NormalOrderedPolynomial
 
 
@@ -416,6 +425,32 @@ def ccr_defect_dense(spec: FockSpec) -> CommutationDefect:
     return CommutationDefect(safe=safe, unrestricted=unrestricted)
 
 
+def poisson_eigen_defect_dense(spec: FockSpec, f, k: int) -> PoissonDefect:
+    """poisson_eigen_defect, the residual from the dense matrix product
+    annihilation_matrix(spec, k) @ Theta_f."""
+    km = k - 1
+    f = np.asarray(f, dtype=complex)
+    theta = poisson_vector(spec, f).amplitudes
+    resid = annihilation_matrix(spec, k) @ theta - f[km] * theta
+    c = spec.cutoffs[km]
+    with np.errstate(over="ignore"):
+        defect = _scaled_norm(resid)
+        bound = abs(f[km]) * abs(_poisson_coefficients(f[km], spec.hbar, c)[c])
+        for j in range(spec.modes):
+            if j != km:
+                bound *= _scaled_norm(
+                    _poisson_coefficients(f[j], spec.hbar, spec.cutoffs[j]))
+    if not (math.isfinite(defect) and math.isfinite(bound)):
+        raise NumericalError("Poisson defect exceeds double range")
+    return PoissonDefect(defect=defect, tail_bound=float(bound))
+
+
+def exp_i_hermitian(h: np.ndarray) -> np.ndarray:
+    """exp(i h) of a hermitian h by its eigendecomposition."""
+    vals, vecs = np.linalg.eigh(h)
+    return (vecs * np.exp(1j * vals)) @ vecs.conj().T
+
+
 def car_defect_dense(spec: FockSpec) -> CommutationDefect:
     """CAR defects from dense anticommutator matrices."""
     eye = np.eye(spec.dim)
@@ -639,6 +674,43 @@ def phase_trace_dense(weights: np.ndarray, freqs: np.ndarray,
                       taus: np.ndarray) -> np.ndarray:
     """sum_j weights[j] exp(i taus freqs[j]), every entry exponentiated."""
     return np.exp(1j * np.outer(taus, freqs)) @ weights
+
+
+def two_point_green_dense(n_profile, eps_profile, taus, mode: int = 1,
+                          hbar: float = 1.0) -> GreenResult:
+    """two_point_green of valid arguments, its weights read off dense
+    (c+1) x (c+1) ladder matrices, adag * (a @ K).T and a * (adag @ K).T,
+    at the level differences of every (row, column) pair."""
+    n, eps = float(n_profile[mode - 1]), float(eps_profile[mode - 1])
+    taus = np.asarray(taus, dtype=float)
+    w = n / (1.0 + n)
+    cutoff = 24 if w == 0 else max(24, int(np.ceil(np.log(1e-15)
+                                                   / np.log(w))))
+    spec = FockSpec(statistics="bose", cutoffs=(cutoff,), hbar=hbar)
+    probs = (1.0 - w) * w ** np.arange(cutoff + 1)
+    k_mat = np.diag(probs / probs.sum()).astype(complex)
+    a = annihilation_matrix(spec, 1)
+    adag = a.conj().T
+    energies = eps * hbar * np.arange(cutoff + 1)
+    freq_matrix = np.subtract.outer(energies, energies) / hbar
+
+    def sampled(weight, sign_scale):
+        idx = np.nonzero(np.abs(weight) > 0)
+        trace = [sign_scale * _phase_trace(weight[idx], freq_matrix[idx], at)
+                 for at in (taus, np.zeros(1))]
+        return trace[0], complex(trace[1][0])
+
+    g_less, g_less_zero = sampled(adag * (a @ k_mat).T, 1.0 / hbar)
+    g_greater, g_greater_zero = sampled(a * (adag @ k_mat).T, 1.0)
+    if np.abs(g_less).max() == 0:
+        pole = float("nan")
+        res = 2.0 * np.pi / (len(taus) * float(taus[1] - taus[0]))
+    else:
+        pole, res = _fit_pole(taus, g_less)
+    return GreenResult(taus=taus, g_less=g_less, g_greater=g_greater,
+                       g_less_zero=g_less_zero, g_greater_zero=g_greater_zero,
+                       pole=pole, resolution=res, mode=mode, n_bar=n,
+                       eps=eps, hbar=hbar)
 
 
 def hbar_sweep_loop(hbars, t: float = 1.0, steps: int = 64,

@@ -48,6 +48,9 @@ def fresh_python(args):
                           env=env, timeout=120, check=False)
 
 
+_BIG = "9" * 200  # finite, but its square is not
+
+
 class TestExitCodes:
     def test_success_returns_zero(self, capsys):
         code, out, err = invoke(
@@ -96,6 +99,8 @@ class TestExitCodes:
         (["lfunc", "green", "--dt", "0"], 2, "validation"),
         (["lfunc", "green", "--window", "nan"], 2, "validation"),
         (["lfunc", "green", "--window", "inf"], 2, "validation"),
+        (["lfunc", "green", "--window", "-1", "--dt", "1e-300"], 2,
+         "validation"),
         (["evolve", "trotter", "--n", ","], 2, "validation"),
         (["evolve", "trotter", "--n", "16"], 2, "validation"),
         (["statmech", "sweep", "--out", "{missing_dir}/x"], 2, "validation"),
@@ -123,7 +128,12 @@ class TestExitCodes:
         (["grassmann", "eval", "exp(710 + e1 e2)"], 3, "numerical"),
         (["grassmann", "eval", "cos(1000i)"], 3, "numerical"),
         (["grassmann", "eval", "exp(e1 e2)", "--modes", "400"], 0, None),
+        (["grassmann", "eval", "9" * 400 + " e1"], 2, "validation"),
+        (["grassmann", "eval", _BIG + " " + _BIG + " e1"], 3, "numerical"),
+        (["grassmann", "eval", _BIG + " " + _BIG, "--format", "csv"], 3,
+         "numerical"),
     ], ids=["green-dt-zero", "green-window-nan", "green-window-inf",
+            "green-negative-window-tiny-dt",
             "trotter-no-slices",
             "trotter-one-slice-count", "out-missing-dir", "poisson-overflow",
             "beta-range-too-long", "beta-range-overflows", "beta-range-nan",
@@ -132,7 +142,9 @@ class TestExitCodes:
             "gns-empty-rho", "seed-past-64-bits", "zero-threads",
             "weyl-zero-modes", "weyl-negative-trials",
             "weyl-negative-terms", "grassmann-exp-overflow",
-            "grassmann-cos-overflow", "grassmann-400-generators"])
+            "grassmann-cos-overflow", "grassmann-400-generators",
+            "grassmann-literal-overflow", "grassmann-product-overflow",
+            "grassmann-product-overflow-csv"])
     def test_bad_input_exits_with_json_not_traceback(self, argv, code, kind,
                                                      tmp_path, capsys):
         argv = [a.format(missing_dir=tmp_path / "missing") for a in argv]

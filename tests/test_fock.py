@@ -30,8 +30,8 @@ from qtoolkit.weyl_clifford import poly, represent
 
 from conftest import random_density
 from oracles import (_key_to_word, car_defect_dense, ccr_defect_dense,
-                     ladder_word_loop, quadratic_hamiltonian_chain,
-                     represent_chain)
+                     ladder_word_loop, poisson_eigen_defect_dense,
+                     quadratic_hamiltonian_chain, represent_chain)
 
 
 def _bose_specs():
@@ -359,6 +359,31 @@ class TestPoissonVectors:
         for k in (1, 2):
             rep = poisson_eigen_defect(spec, f, k)
             assert rep.defect <= rep.tail_bound * (1 + 1e-10)
+
+    @pytest.mark.parametrize("hbar", [1.0, 0.3, 2.5])
+    @pytest.mark.parametrize("cutoffs, f", [
+        ((200,), [30.0]), ((900,), [30.0]), ((2047,), [0.5]),
+        ((44, 45), [1.3 - 0.4j, 2.0j]),
+        ((10, 12, 3), [0.9, 1.1j, -0.7 + 0.2j]),
+    ])
+    def test_eigen_defect_equals_dense_annihilator(self, cutoffs, f, hbar):
+        # a_k applied as one ladder word gives the bits of the dense
+        # a_k @ Theta_f, or the same NumericalError past double range
+        def outcome(defect, k):
+            try:
+                return defect(FockSpec.bose(cutoffs, hbar=hbar), f, k)
+            except NumericalError as exc:
+                return str(exc)
+
+        for k in range(1, len(cutoffs) + 1):
+            assert (outcome(poisson_eigen_defect, k)
+                    == outcome(poisson_eigen_defect_dense, k))
+
+    def test_eigen_defect_memory_is_linear_in_dim(self):
+        # a dense a_k at dimension 2,048 alone takes 64 MiB
+        spec = FockSpec.bose([2047])
+        assert _traced_peak(
+            lambda: poisson_eigen_defect(spec, [0.5], 1)) <= 4 << 20
 
     def test_eigenvector_property_on_safe_subspace(self):
         spec = FockSpec.bose([10])

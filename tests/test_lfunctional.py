@@ -26,7 +26,8 @@ from qtoolkit.weyl_clifford import involution, poly
 from conftest import random_density
 from oracles import (DOUBLED_MIRRORS, _key_to_word, correlations_chain,
                      evolution_generator_branches, hbar_sweep_loop,
-                     ladder_word_loop, phase_trace_dense)
+                     ladder_word_loop, phase_trace_dense,
+                     two_point_green_dense)
 
 
 def normalized_coherent(spec, lam):
@@ -516,6 +517,21 @@ class TestTwoPointGreen:
                         == np.asarray(getattr(want, field.name)).tobytes()
                         ), field.name
 
+    @pytest.mark.parametrize("hbar", [1.0, 0.3, 2.5])
+    @pytest.mark.parametrize("eps", [0.7, 1.3, -0.4])
+    @pytest.mark.parametrize("n", [0.0, 1e-3, 0.5, 1.0, 3.0, 7.5, 20.0, 28.0])
+    def test_ladder_band_equals_dense_ladder_matrices(self, n, eps, hbar):
+        # the weights come from the band of the letter tables; reading
+        # them off dense (c+1) x (c+1) ladder matrices gives the same bits
+        taus = np.arange(4097 + int(10 * n)) * 0.05
+        args = ([0.5, n], [1.1, eps], taus)
+        got = two_point_green(*args, mode=2, hbar=hbar)
+        want = two_point_green_dense(*args, mode=2, hbar=hbar)
+        for field in dataclasses.fields(GreenResult):
+            assert (np.asarray(getattr(got, field.name)).tobytes()
+                    == np.asarray(getattr(want, field.name)).tobytes()
+                    ), field.name
+
     def test_phase_trace_equals_dense_route_on_repeated_frequencies(self):
         # np.unique merges 0.0 and -0.0; their exponentials agree, since
         # 1j * x has imaginary part +0.0 for either zero
@@ -545,8 +561,7 @@ class TestTwoPointGreen:
 
     def test_memory_does_not_grow_with_the_sample_count(self):
         # n = 28 has 985 weights: the full (samples x weights) matrix
-        # would be 123 MiB at 8,193 samples and 493 MiB at 32,769, on top
-        # of about 65 MiB of dense ladder matrices
+        # would be 123 MiB at 8,193 samples and 493 MiB at 32,769
         def peak(samples):
             taus = np.arange(samples) * 0.05
             tracemalloc.start()
@@ -559,6 +574,11 @@ class TestTwoPointGreen:
         small, large = peak(2 * 4096 + 1), peak(8 * 4096 + 1)
         assert large <= 160 << 20
         assert large <= 1.05 * small
+        # one block of the phase table, _GREEN_ROWS x 985 complex entries
+        # (62 MiB), and a few MiB of samples; dense ladder matrices would
+        # add 65 MiB
+        cutoff = int(np.ceil(np.log(1e-15) / np.log(28 / 29)))
+        assert large <= 16 * lfunctional._GREEN_ROWS * cutoff + (6 << 20)
 
     def test_window_and_grid_validation(self):
         good = np.arange(0.0, 20.0, 0.1)

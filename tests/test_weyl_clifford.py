@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qtoolkit import evolution
 from qtoolkit.errors import ValidationError
 from qtoolkit.fock import FockSpec
 from qtoolkit.weyl_clifford import (
@@ -25,7 +26,7 @@ from qtoolkit.weyl_clifford import (
     zero,
 )
 
-from oracles import represent_chain, word_reduction
+from oracles import exp_i_hermitian, represent_chain, word_reduction
 
 
 def bose_unit(m=1, hbar=1.0):
@@ -402,6 +403,26 @@ class TestWeylExponential:
         sigma = SigmaForm.canonical(1).matrix
         want = np.exp(-0.5j * (alpha @ sigma @ beta))
         assert abs(res.phase - want) < 1e-14
+
+    def test_expm_equals_eigh_exponential(self, monkeypatch):
+        # V_alpha = evolution.expm(h, -1.0) has the bits of the eigenbasis
+        # exp(i h) that the check once built for itself
+        rng = np.random.default_rng(np.random.Philox(11))
+        for cutoffs, hbar in (((30,), 1.0), ((60,), 0.3), ((8, 8), 1.0),
+                              ((4, 4, 4), 2.5)):
+            spec = FockSpec.bose(cutoffs, hbar=hbar)
+            us = canonical_quadratures(spec)
+            for _ in range(3):
+                alpha, beta = rng.normal(size=(2, 2 * spec.modes))
+                h = sum(c * u for c, u in zip(alpha, us))
+                assert (evolution.expm(h, -1.0).tobytes()
+                        == exp_i_hermitian(h).tobytes())
+                got = weyl_exponential_check(spec, alpha, beta)
+                with monkeypatch.context() as m:
+                    m.setattr(evolution, "expm",
+                              lambda h, t: exp_i_hermitian(h))
+                    want = weyl_exponential_check(spec, alpha, beta)
+                assert got == want
 
     def test_quadrature_ccr(self):
         spec = FockSpec.bose([30], hbar=0.7)
