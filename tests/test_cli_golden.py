@@ -104,6 +104,9 @@ ARGVS = [
     # and a Poisson defect at Fock dimension 2,048
     ["lfunc", "green", "--n", "28", "--window", "5000", "--dt", "0.05"],
     ["fock", "poisson", "--cutoffs", "2047", "--f", "0.5"],
+    # the --hbars cap of `lfunc sweep`: 64 values, at the default steps
+    ["lfunc", "sweep", "--hbars",
+     ",".join(f"{0.3 * 0.9 ** k:.4g}" for k in range(64))],
 ]
 
 
