@@ -59,37 +59,10 @@ def _ints(text: str) -> list[int]:
             from exc
 
 
-def _capped(value: int, flag: str, cap: int, low: int = 1) -> None:
-    """Refuse an integer flag before any work if it exceeds cap."""
-    if _require_int(value, flag, low) > cap:
-        raise ValidationError(f"{flag} {value} is too many; at most {cap}")
-
-
-def _at_most(values: list, flag: str, cap: int) -> list:
-    """A list flag, refused before any work if it holds more than cap
-    values."""
-    if len(values) > cap:
-        raise ValidationError(f"{flag} has {len(values)} values; at most {cap}")
-    return values
-
-
-BETA_POINTS_MAX = 100_000
-# 64 chunks of decoherence._CHUNK trials, about 1 s per --alpha value
-DECOHERE_TRIALS_MAX = 1 << 22
-DECOHERE_ALPHAS_MAX = 16
-# the work of a trial grows with --terms cubed, and exponentially in --modes
-WEYL_TRIALS_MAX = 1000
-WEYL_TERMS_MAX = 16
-
-
-def _beta_range(text: str) -> np.ndarray:
-    """Either a single value or an inclusive start:stop:step range.
-
-    A range must have finite ends and step and at most BETA_POINTS_MAX
-    points; it is counted before any array is allocated.
-    """
-    import numpy as np
-
+def _beta(text: str) -> list[float]:
+    """--beta: a single value, or the start, stop and step of an inclusive
+    range with finite ends and step, step > 0, stop >= start and a finite
+    stop + step / 2 (the end np.arange is given)."""
     parts = text.split(":")
     if len(parts) not in (1, 3):
         raise ValidationError("beta range must look like start:stop:step")
@@ -100,34 +73,76 @@ def _beta_range(text: str) -> np.ndarray:
             from exc
     if not all(math.isfinite(x) for x in values):
         raise ValidationError(f"beta needs finite values: {text!r}")
-    if len(values) == 1:
-        return np.array(values)
-    start, stop, step = values
-    if step <= 0 or stop < start:
+    if len(values) == 3 and (values[2] <= 0 or values[1] < values[0]):
         raise ValidationError("beta range needs step > 0 and stop >= start")
-    points = (stop - start) / step + 1  # inf if the quotient overflows
-    if points > BETA_POINTS_MAX:
-        raise ValidationError(
-            f"beta range has {points:.3g} points; at most {BETA_POINTS_MAX}")
-    return np.arange(start, stop + 0.5 * step, step)
+    if len(values) == 3 and not math.isfinite(values[1] + 0.5 * values[2]):
+        raise ValidationError(f"beta range ends past double range: {text!r}")
+    return values
 
 
-GREEN_SAMPLES_MAX = 100_000
-DENSE_DIM_MAX = 2048
-# each --n entry forms two dim x dim exponentials and a matrix power, so
-# its time grows with dim^3; the budget admits two entries (about 100 s)
-# at DENSE_DIM_MAX and the full 16 up to dim 1024
-TROTTER_COUNTS_MAX = 16
-TROTTER_WORK_MAX = 2 * DENSE_DIM_MAX ** 3
+def _beta_points(text: str) -> float:
+    values = _beta(text)
+    if len(values) == 1:
+        return 1
+    start, stop, step = values
+    return (stop - start) / step + 1  # inf if the quotient overflows
 
 
-def _dense_spec(spec):
-    """The Fock space of a command capped at DENSE_DIM_MAX, checked before
-    any work; `fock spectrum` and `evolve trotter` build dim x dim matrices."""
-    if spec.dim > DENSE_DIM_MAX:
-        raise ValidationError(
-            f"Fock dimension {spec.dim} is too large; at most {DENSE_DIM_MAX}")
-    return spec
+def _green_samples(args) -> float:
+    _require_positive(args.window, "--window")
+    _require_positive(args.dt, "--dt")
+    return args.window / args.dt  # inf if the quotient overflows
+
+
+def _cutoffs_dim(args) -> int:
+    return math.prod(c + 1 for c in _ints(args.cutoffs))
+
+
+# Every limit on an argv: for each (subcommand, action), rows of (quantity,
+# count, low, high).  `run` checks the rows in order before it calls the
+# handler, so no refused argv does any work or loads numpy: count reads the
+# quantity off the parsed argv (it may refuse a malformed flag itself), and
+# the quantity must lie in [low, high], a bound of None being absent.  The
+# README's limits table lists the same rows.
+LIMITS = {
+    # `fock spectrum` and `evolve trotter` build dim x dim matrices
+    ("fock", "spectrum"): [("Fock dimension", _cutoffs_dim, None, 2048)],
+    ("fock", "poisson"): [("Fock dimension", _cutoffs_dim, None, 2048)],
+    # the work of a trial grows with --terms cubed, and exponentially in
+    # --modes
+    ("weyl", "check"): [
+        ("--modes", lambda a: a.modes, 1, None),
+        ("--trials", lambda a: a.trials, 0, 1000),
+        ("--terms", lambda a: a.terms, 0, 16)],
+    # each --n value forms two dim x dim exponentials and a matrix power,
+    # so its time grows with dim^3; the budget admits all 16 values up to
+    # dimension 1,024 and two (about 100 s) at 2,048
+    ("evolve", "trotter"): [
+        ("Fock dimension", lambda a: a.cutoff + 1, None, 2048),
+        ("--n values", lambda a: len(_ints(a.n)), 1, 16),
+        ("--n values x (dim / 1024)^3",
+         lambda a: len(_ints(a.n)) * (a.cutoff + 1) ** 3 / 1024 ** 3, None,
+         16)],
+    # 64 chunks of decoherence._CHUNK trials, about 1 s per --alpha value
+    ("decohere", "sweep"): [
+        ("--trials", lambda a: a.trials, 1, 1 << 22),
+        ("--alpha values", lambda a: len(_floats(a.alpha)), 1, 16)],
+    ("lfunc", "green"): [
+        ("--window / --dt samples", _green_samples, None, 100_000)],
+    # one RK4 lattice per --hbars value and one classical: memory grows
+    # with the values, time with steps x lattices (about 3-4 s at the cap)
+    ("lfunc", "sweep"): [
+        ("--hbars values", lambda a: len(_floats(a.hbars)), 1, 64),
+        ("--steps x (--hbars values + 1)",
+         lambda a: a.steps * (len(_floats(a.hbars)) + 1), None, 40_000)],
+    # each beta point prints a row of 5 + --eps values numbers; the budget
+    # admits 100,000 points of one value (about 3 s and 14 MB)
+    ("statmech", "sweep"): [
+        ("beta points", lambda a: _beta_points(a.beta), None, 100_000),
+        ("beta points x (5 + --eps values)",
+         lambda a: _beta_points(a.beta) * (5 + len(_floats(a.eps))), None,
+         600_000)],
+}
 
 
 def _json_matrix(text: str) -> np.ndarray:
@@ -148,9 +163,8 @@ def _cmd_fock_spectrum(args):
     from .fock import FockSpec, quadratic_hamiltonian, \
         quadratic_hamiltonian_diagonal
 
-    spec = _dense_spec(FockSpec(statistics=args.stat,
-                                cutoffs=tuple(_ints(args.cutoffs)),
-                                hbar=args.hbar))
+    spec = FockSpec(statistics=args.stat, cutoffs=tuple(_ints(args.cutoffs)),
+                    hbar=args.hbar)
     eps = _floats(args.eps)
     dense = np.linalg.eigvalsh(quadratic_hamiltonian(spec, eps))
     expected = np.sort(np.diag(quadratic_hamiltonian_diagonal(spec, eps))
@@ -171,9 +185,8 @@ def _cmd_fock_spectrum(args):
 def _cmd_fock_poisson(args):
     from .fock import FockSpec, poisson_eigen_defect
 
-    spec = _dense_spec(FockSpec(statistics="bose",
-                                cutoffs=tuple(_ints(args.cutoffs)),
-                                hbar=args.hbar))
+    spec = FockSpec(statistics="bose", cutoffs=tuple(_ints(args.cutoffs)),
+                    hbar=args.hbar)
     f = [complex(x) for x in _floats(args.f)]
     reports = [poisson_eigen_defect(spec, f, k)
                for k in range(1, spec.modes + 1)]
@@ -188,9 +201,6 @@ def _cmd_fock_poisson(args):
 
 
 def _cmd_weyl_check(args):
-    modes = _require_int(args.modes, "--modes")
-    _capped(args.trials, "--trials", WEYL_TRIALS_MAX, 0)
-    _capped(args.terms, "--terms", WEYL_TERMS_MAX, 0)
     import numpy as np
 
     from .weyl_clifford import poly, product
@@ -203,8 +213,8 @@ def _cmd_weyl_check(args):
         for _ in range(3):
             terms = {}
             for _ in range(args.terms):
-                bits_c = rng.integers(0, 2, size=modes)
-                bits_a = rng.integers(0, 2, size=modes)
+                bits_c = rng.integers(0, 2, size=args.modes)
+                bits_a = rng.integers(0, 2, size=args.modes)
                 if args.stat == "bose":
                     key = (tuple(int(x) for x in bits_c),
                            tuple(int(x) for x in bits_a))
@@ -215,9 +225,9 @@ def _cmd_weyl_check(args):
                 coeff = complex(int(rng.integers(-3, 4)),
                                 int(rng.integers(-3, 4)))
                 terms[key] = terms.get(key, 0j) + coeff
-            polys.append(poly(args.stat, modes, terms, hbar=args.hbar))
+            polys.append(poly(args.stat, args.modes, terms, hbar=args.hbar))
         a, b, c = polys
-        cap = 6 * modes + 6
+        cap = 6 * args.modes + 6
         left = product(product(a, b, degree_cap=cap), c, degree_cap=cap)
         right = product(a, product(b, c, degree_cap=cap), degree_cap=cap)
         keys = set(left.terms) | set(right.terms)
@@ -227,7 +237,7 @@ def _cmd_weyl_check(args):
         rows.append((trial, defect))
     payload = {
         "statistics": args.stat,
-        "modes": modes,
+        "modes": args.modes,
         "trials": args.trials,
         "max_associativity_defect": worst,
         "tolerance": 0.0,
@@ -250,18 +260,14 @@ def _cmd_grassmann_eval(args):
 
 
 def _cmd_evolve_trotter(args):
-    counts = _at_most(_ints(args.n), "--n", TROTTER_COUNTS_MAX)
     from .evolution import trotter_order
     from .fock import FockSpec
     from .weyl_clifford import canonical_quadratures
 
-    spec = _dense_spec(FockSpec(statistics="bose", cutoffs=(args.cutoff,),
-                                hbar=args.hbar))
-    _at_most(counts, f"--n at Fock dimension {spec.dim}",
-             TROTTER_WORK_MAX // spec.dim ** 3)
+    spec = FockSpec(statistics="bose", cutoffs=(args.cutoff,), hbar=args.hbar)
     q, p = canonical_quadratures(spec)
     factors = [-0.5j * (p @ p), -0.5j * (q @ q)]
-    report = trotter_order(factors, args.t, counts)
+    report = trotter_order(factors, args.t, _ints(args.n))
     payload = {
         "cutoff": args.cutoff,
         "t": args.t,
@@ -298,8 +304,6 @@ def _default_two_level():
 
 
 def _cmd_decohere_sweep(args):
-    _capped(args.trials, "--trials", DECOHERE_TRIALS_MAX)
-    alphas = _at_most(_floats(args.alpha), "--alpha", DECOHERE_ALPHAS_MAX)
     import numpy as np
 
     from .decoherence import PerturbationEnsemble, average_density
@@ -308,7 +312,7 @@ def _cmd_decohere_sweep(args):
     k0 = np.full((2, 2), 0.5, dtype=complex)
     rows = []
     entries = []
-    for alpha in alphas:
+    for alpha in _floats(args.alpha):
         ensemble = PerturbationEnsemble(
             family=family, path=path, alpha=alpha,
             lam_low=-args.lam, lam_high=args.lam,
@@ -339,13 +343,6 @@ def _cmd_lfunc_green(args):
 
     if args.n <= 0:
         raise ValidationError("need a positive occupation for a pole fit")
-    _require_positive(args.window, "--window")
-    _require_positive(args.dt, "--dt")
-    samples = args.window / args.dt  # inf if the quotient overflows
-    if samples > GREEN_SAMPLES_MAX:
-        raise ValidationError(
-            f"--window / --dt gives {samples:.6g} samples; "
-            f"at most {GREEN_SAMPLES_MAX}")
     taus = np.arange(0.0, args.window, args.dt)
     res = two_point_green([args.n], [args.eps], taus, mode=1,
                           hbar=args.hbar, resolution=args.tol)
@@ -380,10 +377,15 @@ def _cmd_lfunc_sweep(args):
 
 
 def _cmd_statmech_sweep(args):
+    import numpy as np
+
     from .statmech import free_gas
 
     eps = _floats(args.eps)
-    betas = _beta_range(args.beta)
+    betas = _beta(args.beta)
+    if len(betas) == 3:
+        start, stop, step = betas
+        betas = np.arange(start, stop + 0.5 * step, step)
     rows = []
     for beta in betas:
         gas = free_gas(eps, float(beta), args.stat)
@@ -551,6 +553,13 @@ def run(argv) -> int:
         _require_int(args.seed, "seed", 0, 64)
         if args.threads is not None:
             _require_int(args.threads, "threads")
+        for quantity, count, low, high in LIMITS.get(
+                (args.subcommand, args.action), ()):
+            value = count(args)
+            if low is not None and value < low:
+                raise ValidationError(f"{quantity} is {value}; at least {low}")
+            if high is not None and value > high:
+                raise ValidationError(f"{quantity} is {value}; at most {high}")
         payload, header, rows = args.handler(args)
         data = emit(payload, args.fmt, header, rows)
         if args.out:

@@ -73,10 +73,11 @@ def _hermitian(m, what: str, stacked: bool = False):
 
     The one input rule for every hamiltonian, generator, occupation and
     density matrix: m is a nonempty square matrix of finite entries with
-    max|m - m^H| <= 1e-12 max|m|.  The bound has no floor, so the verdict
-    does not depend on the scale of m, and the zero matrix passes.  With
-    stacked=True, m is a stack of such matrices along its first axis and
-    each one is held to the rule at its own scale.
+    max|m - m^H| <= 1e-12 max|m| and a hermitian part within double range
+    (entries near 1e308 can sum past it).  The bound has no floor, so the
+    verdict does not depend on the scale of m, and the zero matrix passes.
+    With stacked=True, m is a stack of such matrices along its first axis
+    and each one is held to the rule at its own scale.
     """
     import numpy as np
 
@@ -84,7 +85,11 @@ def _hermitian(m, what: str, stacked: bool = False):
     if m.ndim != 2 + stacked or m.shape[-1] != m.shape[-2] or m.size == 0:
         raise ValidationError(f"{what} must be a nonempty square matrix")
     mh = np.swapaxes(m, -1, -2).conj()
-    skew = np.abs(m - mh).max(axis=(-2, -1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        skew = np.abs(m - mh).max(axis=(-2, -1))
+        part = 0.5 * (m + mh)
     if np.any(skew > 1e-12 * np.abs(m).max(axis=(-2, -1))):
         raise ValidationError(f"{what} must be hermitian within 1e-12")
-    return 0.5 * (m + mh)
+    if not np.all(np.isfinite(part)):
+        raise ValidationError(f"{what} has a hermitian part past double range")
+    return part

@@ -513,7 +513,8 @@ def _simpson_eigen_traces(h_of_s: Callable, dim: int, tol: float = 1e-12,
     seen at the finest sampling.  The grids are dyadic, so the points of
     one level are the even points of the next bit for bit: each level
     samples and diagonalises only its odd points and interleaves their
-    eigenvalues with those already held.
+    eigenvalues with those already held.  Integrals past double range
+    raise NumericalError.
     """
     level = 6
     m = 1 << level
@@ -526,7 +527,10 @@ def _simpson_eigen_traces(h_of_s: Callable, dim: int, tol: float = 1e-12,
         w = np.ones(m + 1)
         w[1:-1:2] = 4.0
         w[2:-1:2] = 2.0
-        integ = (w[:, None] * vals).sum(axis=0) / (3.0 * m)
+        with np.errstate(over="ignore", invalid="ignore"):
+            integ = (w[:, None] * vals).sum(axis=0) / (3.0 * m)
+        if not np.all(np.isfinite(integ)):
+            raise NumericalError("eigenvalue integrals exceed double range")
         if prev is not None:
             scale = max(1.0, float(np.abs(integ).max()))
             if float(np.abs(integ - prev).max()) <= tol * scale:

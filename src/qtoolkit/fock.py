@@ -159,11 +159,14 @@ def _letter_tables(spec: FockSpec) -> tuple[np.ndarray, np.ndarray]:
     modes + k the letter a_k, and column c of a letter's matrix holds
     factor[., c] at row dest[., c].  Past a cutoff or the Pauli exclusion
     the factor is 0 and the row stays c.  The Jordan-Wigner sign comes
-    from the integer parity of n_1 + ... + n_{k-1}, so it is exact.
+    from the integer parity of n_1 + ... + n_{k-1}, so it is exact.  A
+    bosonic hbar (n_k + 1) past double range raises NumericalError.
     """
     occ = spec.occupations.T
     up, down = occ < np.array(spec.cutoffs)[:, None], occ > 0
     if spec.statistics == "bose":
+        if not math.isfinite(float(spec.hbar) * (max(spec.cutoffs) + 1.0)):
+            raise NumericalError("hbar (c + 1) exceeds double range")
         up_f = np.sqrt(spec.hbar * (occ + 1.0))
         down_f = np.sqrt(spec.hbar * occ)
     else:
@@ -260,18 +263,20 @@ def quadratic_hamiltonian(spec: FockSpec, eps: Sequence[float]) -> np.ndarray:
     hbar * n_k, so H carries eigenvalue sum_k n_k eps_k on |n>.  Each
     diagonal is the floating product sqrt(hbar n_k) * sqrt(hbar n_k) of
     the word a^+_k a_k; see quadratic_hamiltonian_diagonal for the
-    exact-arithmetic equivalent.
+    exact-arithmetic equivalent.  An energy past double range raises
+    NumericalError.
     """
     eps = np.asarray(eps, dtype=float)
     if eps.shape != (spec.modes,):
         raise ValidationError("eps length must equal mode count")
-    scales = eps / spec.hbar
     diag = np.zeros(spec.dim)
     number_words = np.tile(np.eye(spec.modes, dtype=np.intp), 2)
-    for block, _, weights in _monomials(spec, number_words):
-        for scale, w in zip(scales[block], weights):
-            diag += scale * w
-    return np.diag(diag).astype(complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scales = eps / spec.hbar
+        for block, _, weights in _monomials(spec, number_words):
+            for scale, w in zip(scales[block], weights):
+                diag += scale * w
+    return np.diag(_finite_energies(diag)).astype(complex)
 
 
 def quadratic_hamiltonian_diagonal(spec: FockSpec, eps: Sequence[float]) -> np.ndarray:
@@ -284,8 +289,15 @@ def quadratic_hamiltonian_diagonal(spec: FockSpec, eps: Sequence[float]) -> np.n
     eps = np.asarray(eps, dtype=float)
     if eps.shape != (spec.modes,):
         raise ValidationError("eps length must equal mode count")
-    energies = spec.occupations @ eps
-    return np.diag(energies).astype(complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        energies = spec.occupations @ eps
+    return np.diag(_finite_energies(energies)).astype(complex)
+
+
+def _finite_energies(energies: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(energies)):
+        raise NumericalError("an energy sum_k n_k eps_k exceeds double range")
+    return energies
 
 
 @dataclass(frozen=True)

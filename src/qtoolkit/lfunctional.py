@@ -740,7 +740,8 @@ def two_point_green(n_profile: Sequence[float], eps_profile: Sequence[float],
     from a closed form, exponentiating each distinct eigenfrequency once
     (708 weights share 10 at n = 20).  The pole of g_less is located from the
     discrete Fourier transform of the samples with parabolic refinement
-    and must land within one frequency bin of the true eps.
+    and must land within one frequency bin of the true eps.  Energies or
+    phases past double range raise NumericalError.
     """
     n_profile = [float(x) for x in n_profile]
     eps_profile = [float(x) for x in eps_profile]
@@ -775,8 +776,13 @@ def two_point_green(n_profile: Sequence[float], eps_profile: Sequence[float],
     probs = probs / probs.sum()
     factor = _letter_tables(spec)[1].astype(complex)  # complex, for the zgemv
     up, down = factor[0, :-1], factor[1, 1:]  # a+: i-1 -> i, a: i -> i-1
-    energies = eps * hbar * np.arange(cutoff + 1)
-    freqs = (energies[1:] - energies[:-1]) / hbar
+    with np.errstate(over="ignore", invalid="ignore"):
+        energies = eps * hbar * np.arange(cutoff + 1)
+        freqs = (energies[1:] - energies[:-1]) / hbar
+        phase = np.abs(freqs).max() * np.abs(taus).max()
+    if not np.isfinite(phase):
+        raise NumericalError("the energies eps * hbar * n or the phases "
+                             "tau * eps exceed double range")
 
     def sampled(weight, freq, sign_scale):
         idx = np.nonzero(np.abs(weight) > 0)

@@ -51,6 +51,87 @@ def fresh_python(args):
 _BIG = "9" * 200  # finite, but its square is not
 
 
+def _high(command, quantity):
+    """The upper bound of one row of cli.LIMITS."""
+    (high,) = [h for q, _, _, h in cli.LIMITS[command] if q == quantity]
+    return high
+
+
+def _values(k, value="0.1"):
+    return ",".join([value] * k)
+
+
+def _counts(k):
+    return ",".join(str(n) for n in range(1, k + 1))
+
+
+# Every row of cli.LIMITS with an upper bound: the module and kernel stubbed
+# out, the row's command and quantity, the largest k that its bound admits,
+# and the argv at k.  argv(cap) reaches the kernel; argv(cap + 1) is refused
+# before any work.
+_CAPS = {
+    "fock-spectrum-dim": (
+        "fock", "quadratic_hamiltonian", ("fock", "spectrum"),
+        "Fock dimension", lambda h: h,
+        lambda k: ["fock", "spectrum", "--cutoffs", str(k - 1), "--eps", "1"]),
+    "fock-poisson-dim": (
+        "fock", "poisson_eigen_defect", ("fock", "poisson"), "Fock dimension",
+        lambda h: h, lambda k: ["fock", "poisson", "--cutoffs", str(k - 1)]),
+    "weyl-trials": (
+        "weyl_clifford", "product", ("weyl", "check"), "--trials",
+        lambda h: h, lambda k: ["weyl", "check", "--trials", str(k)]),
+    "weyl-terms": (
+        "weyl_clifford", "product", ("weyl", "check"), "--terms",
+        lambda h: h, lambda k: ["weyl", "check", "--terms", str(k)]),
+    # stubbing the quadratures builds no large matrix
+    "trotter-dim": (
+        "weyl_clifford", "canonical_quadratures", ("evolve", "trotter"),
+        "Fock dimension", lambda h: h,
+        lambda k: ["evolve", "trotter", "--cutoff", str(k - 1), "--n",
+                   "1,2"]),
+    "trotter-counts": (
+        "evolution", "trotter_order", ("evolve", "trotter"), "--n values",
+        lambda h: h, lambda k: ["evolve", "trotter", "--n", _counts(k)]),
+    # the budget shrinks with dim^3
+    **{f"trotter-work-dim-{c + 1}": (
+        "weyl_clifford", "canonical_quadratures", ("evolve", "trotter"),
+        "--n values x (dim / 1024)^3",
+        lambda h, c=c: int(h * 1024 ** 3 // (c + 1) ** 3),
+        lambda k, c=c: ["evolve", "trotter", "--cutoff", str(c), "--n",
+                        _counts(k)])
+       for c in (1499, 2047)},
+    "decohere-trials": (
+        "decoherence", "average_density", ("decohere", "sweep"), "--trials",
+        lambda h: h, lambda k: ["decohere", "sweep", "--trials", str(k)]),
+    "decohere-alphas": (
+        "decoherence", "average_density", ("decohere", "sweep"),
+        "--alpha values", lambda h: h,
+        lambda k: ["decohere", "sweep", "--trials", "64", "--alpha",
+                   _values(k)]),
+    "green-samples": (
+        "lfunctional", "two_point_green", ("lfunc", "green"),
+        "--window / --dt samples", lambda h: h,
+        lambda k: ["lfunc", "green", "--window", str(k), "--dt", "1"]),
+    "sweep-hbars": (
+        "lfunctional", "hbar_sweep", ("lfunc", "sweep"), "--hbars values",
+        lambda h: h, lambda k: ["lfunc", "sweep", "--hbars", _values(k)]),
+    # steps x (3 default hbars + 1)
+    "sweep-steps": (
+        "lfunctional", "hbar_sweep", ("lfunc", "sweep"),
+        "--steps x (--hbars values + 1)", lambda h: h // 4,
+        lambda k: ["lfunc", "sweep", "--steps", str(k)]),
+    "statmech-beta-points": (
+        "statmech", "free_gas", ("statmech", "sweep"), "beta points",
+        lambda h: h, lambda k: ["statmech", "sweep", "--beta", f"0:{k - 1}:1"]),
+    # beta points x (5 + 64 values)
+    "statmech-eps-budget": (
+        "statmech", "free_gas", ("statmech", "sweep"),
+        "beta points x (5 + --eps values)", lambda h: h // 69,
+        lambda k: ["statmech", "sweep", "--eps", _values(64, "1"), "--beta",
+                   f"0:{k - 1}:1"]),
+}
+
+
 class TestExitCodes:
     def test_success_returns_zero(self, capsys):
         code, out, err = invoke(
@@ -111,6 +192,8 @@ class TestExitCodes:
          "validation"),
         (["statmech", "sweep", "--beta", "0.1:nan:0.1"], 2, "validation"),
         (["statmech", "sweep", "--beta", "0.1:x:0.1"], 2, "validation"),
+        (["statmech", "sweep", "--beta", "0:1.7e308:1.7e308"], 2,
+         "validation"),
         (["grassmann", "eval", "(e1 + 2)^2000"], 3, "numerical"),
         (["lfunc", "green", "--window", "1e15", "--dt", "1"], 2,
          "validation"),
@@ -132,19 +215,27 @@ class TestExitCodes:
         (["grassmann", "eval", _BIG + " " + _BIG + " e1"], 3, "numerical"),
         (["grassmann", "eval", _BIG + " " + _BIG, "--format", "csv"], 3,
          "numerical"),
+        (["fock", "spectrum", "--eps", "5e307,5e307"], 3, "numerical"),
+        (["fock", "spectrum", "--eps", "1e306,1e306"], 0, None),
+        (["lfunc", "green", "--eps", "1e308"], 3, "numerical"),
+        (["decohere", "sweep", "--alpha", ","], 2, "validation"),
+        (["lfunc", "sweep", "--hbars", ","], 2, "validation"),
     ], ids=["green-dt-zero", "green-window-nan", "green-window-inf",
             "green-negative-window-tiny-dt",
             "trotter-no-slices",
             "trotter-one-slice-count", "out-missing-dir", "poisson-overflow",
             "beta-range-too-long", "beta-range-overflows", "beta-range-nan",
-            "beta-range-not-a-number", "grassmann-power-overflow",
+            "beta-range-not-a-number", "beta-range-end-overflows",
+            "grassmann-power-overflow",
             "green-too-many-samples", "green-samples-overflow",
             "gns-empty-rho", "seed-past-64-bits", "zero-threads",
             "weyl-zero-modes", "weyl-negative-trials",
             "weyl-negative-terms", "grassmann-exp-overflow",
             "grassmann-cos-overflow", "grassmann-400-generators",
             "grassmann-literal-overflow", "grassmann-product-overflow",
-            "grassmann-product-overflow-csv"])
+            "grassmann-product-overflow-csv", "spectrum-energy-overflow",
+            "spectrum-energy-in-range", "green-energy-overflow",
+            "decohere-no-alphas", "sweep-no-hbars"])
     def test_bad_input_exits_with_json_not_traceback(self, argv, code, kind,
                                                      tmp_path, capsys):
         argv = [a.format(missing_dir=tmp_path / "missing") for a in argv]
@@ -174,57 +265,15 @@ class TestExitCodes:
         assert out == ""
         message = json.loads(err)
         assert message["error"] == "validation"
-        assert str(cli.DENSE_DIM_MAX) in message["message"]
+        assert str(_high(tuple(argv[:2]), "Fock dimension")) in \
+            message["message"]
 
     @pytest.mark.parametrize("extra, code", [(0, 3), (1, 2)],
                              ids=["at-cap", "one-past-cap"])
-    def test_decohere_trials_cap_is_checked_before_any_work(
-            self, extra, code, capsys, monkeypatch):
-        from qtoolkit import decoherence
-
-        calls = []
-
-        def stub(*args, **kwargs):
-            calls.append(args)
-            raise cli.NumericalError("stub reached")
-
-        monkeypatch.setattr(decoherence, "average_density", stub)
-        code_got, out, err = invoke(
-            ["decohere", "sweep", "--trials",
-             str(cli.DECOHERE_TRIALS_MAX + extra)], capsys)
-        assert (code_got, out) == (code, "")
-        assert len(calls) == (extra == 0)
-        if extra:
-            message = json.loads(err)
-            assert message["error"] == "validation"
-            assert str(cli.DECOHERE_TRIALS_MAX) in message["message"]
-
-
-    @pytest.mark.parametrize("extra, code", [(0, 3), (1, 2)],
-                             ids=["at-cap", "one-past-cap"])
-    @pytest.mark.parametrize("module, kernel, cap, argv", [
-        ("decoherence", "average_density", cli.DECOHERE_ALPHAS_MAX,
-         lambda k: ["decohere", "sweep", "--trials", "64", "--alpha",
-                    ",".join(["0.1"] * k)]),
-        ("weyl_clifford", "product", cli.WEYL_TRIALS_MAX,
-         lambda k: ["weyl", "check", "--trials", str(k)]),
-        ("weyl_clifford", "product", cli.WEYL_TERMS_MAX,
-         lambda k: ["weyl", "check", "--terms", str(k)]),
-        ("evolution", "trotter_order", cli.TROTTER_COUNTS_MAX,
-         lambda k: ["evolve", "trotter", "--n",
-                    ",".join(str(n) for n in range(1, k + 1))]),
-        # the budget shrinks with dim^3; stubbing the quadratures builds
-        # no large matrix
-        *[("weyl_clifford", "canonical_quadratures",
-           cli.TROTTER_WORK_MAX // (c + 1) ** 3,
-           lambda k, c=c: ["evolve", "trotter", "--cutoff", str(c), "--n",
-                           ",".join(str(n) for n in range(1, k + 1))])
-          for c in (1499, 2047)],
-    ], ids=["decohere-alphas", "weyl-trials", "weyl-terms", "trotter-counts",
-            "trotter-work-dim-1500", "trotter-work-dim-2048"])
+    @pytest.mark.parametrize("case", sorted(_CAPS))
     def test_count_caps_are_checked_before_any_work(
-            self, module, kernel, cap, argv, extra, code, capsys,
-            monkeypatch):
+            self, case, extra, code, capsys, monkeypatch):
+        module, kernel, command, quantity, cap, argv = _CAPS[case]
         calls = []
 
         def stub(*args, **kwargs):
@@ -233,13 +282,34 @@ class TestExitCodes:
 
         monkeypatch.setattr(importlib.import_module(f"qtoolkit.{module}"),
                             kernel, stub)
-        code_got, out, err = invoke(argv(cap + extra), capsys)
+        high = _high(command, quantity)
+        code_got, out, err = invoke(argv(cap(high) + extra), capsys)
         assert (code_got, out) == (code, "")
         assert len(calls) == (extra == 0)
         if extra:
             message = json.loads(err)
             assert message["error"] == "validation"
-            assert str(cap) in message["message"]
+            assert message["message"].startswith(f"{quantity} is ")
+            assert message["message"].endswith(f"; at most {high}")
+
+    def test_every_cap_has_a_case(self):
+        capped = {(command, quantity)
+                  for command, rows in cli.LIMITS.items()
+                  for quantity, _, _, high in rows if high is not None}
+        assert capped == {case[2:4] for case in _CAPS.values()}
+
+    def test_readme_table_lists_every_limit(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "README.md"), encoding="utf-8") as f:
+            section = f.read().split("\n## Command line\n")[1]
+        table = [line for line in section.split("\n## ")[0].splitlines()
+                 if line.startswith("| `")]
+        rows = [f"| `{' '.join(command)}` | {quantity} | "
+                f"{'-' if low is None else f'{low:,}'} | "
+                f"{'-' if high is None else f'{high:,}'} |"
+                for command, limits in cli.LIMITS.items()
+                for quantity, _, low, high in limits]
+        assert table == rows
 
 
 class TestSerialize:
@@ -538,14 +608,11 @@ class TestImport:
         (["grassmann", "eval", "sin(1.5 + e1 e2 + e3 e4)", "--format",
           "csv"], 0),
         (["grassmann", "eval", "(1 + 2 e1)(e2 - 0.5i e1 e3)^2"], 0),
-        (["decohere", "sweep", "--alpha", ",".join(["0.1"] * 17)], 2),
-        (["weyl", "check", "--trials", "1001"], 2),
-        (["weyl", "check", "--terms", "17"], 2),
-        (["evolve", "trotter", "--n", ",".join(map(str, range(1, 18)))], 2),
+        *[(argv(cap(_high(command, quantity)) + 1), 2)
+          for _, _, command, quantity, cap, argv in _CAPS.values()],
     ], ids=["help", "usage-error", "bad-seed", "grassmann-exp",
             "grassmann-cos", "grassmann-sin", "grassmann-product",
-            "decohere-alpha-cap", "weyl-trials-cap", "weyl-terms-cap",
-            "trotter-counts-cap"])
+            *[f"{case}-past-cap" for case in _CAPS]])
     def test_command_without_arrays_loads_no_numpy(self, argv, code):
         proc = fresh_python(["-c", (
             "import json, sys\n"
@@ -597,12 +664,16 @@ class TestImport:
 # --- argv fuzzing ----------------------------------------------------------
 # Flag values come from the flag grammar: every value type argparse accepts
 # for the flag, plus out-of-range, non-finite and malformed text.  Sizes are
-# either small or past the CLI's caps (dense Fock dimension, `lfunc green`
-# samples, beta points), so each draw either runs quickly or fails
-# validation before it allocates.
+# either small or past a cap of cli.LIMITS, so each draw either runs quickly
+# or fails validation before it allocates.
 
 _FLOAT = st.sampled_from(["0", "-1", "0.5", "1", "2.5", "1e-3", "1e300",
-                          "nan", "inf", "-inf"])
+                          "5e307", "1e308", "nan", "inf", "-inf"])
+
+
+def _past_cap(draw, command, quantity, argv_value):
+    """draw, or else the flag value one step past a LIMITS cap."""
+    return st.one_of(draw, st.just(argv_value(_high(command, quantity) + 1)))
 
 
 def _float_list(pool=_FLOAT):
@@ -629,7 +700,7 @@ _STATES = [matrix_arg(m) for m in (
 _HAMILTONIANS = [matrix_arg(m) for m in (
     [[1, 0], [0, -1]], [[0, 1], [1, 0]], [[1, 0, 0], [0, 1, 0], [0, 0, 2.5]],
     [[1, 1j], [0, 1]], [[np.nan, 0], [0, 1]], np.zeros((0, 0)),
-    [[np.inf, 0], [0, 1]])] + ["{bad"]
+    [[np.inf, 0], [0, 1]], [[1e308, 0], [0, 1]])] + ["{bad"]
 _GRASSMANN_TOKENS = ["e1", "e2", "e3", "2", "0.5", "1i", " + ", " - ", "*",
                      "(", ")", "^2", "^0", "^999999999", "cos(", "sin(",
                      "exp(", " ", "x", "e0"]
@@ -646,32 +717,48 @@ _FLAGS = {
         "--hbar": _FLOAT},
     ("weyl", "check"): {
         "--stat": st.sampled_from(["bose", "fermi"]), "--modes": _int(-1, 3),
-        "--trials": _int(-1, 3), "--terms": _int(-1, 3), "--hbar": _FLOAT},
+        "--trials": _past_cap(_int(-1, 3), ("weyl", "check"), "--trials", str),
+        "--terms": _past_cap(_int(-1, 3), ("weyl", "check"), "--terms", str),
+        "--hbar": _FLOAT},
     ("grassmann", "eval"): {"--modes": _int(-1, 4)},
     ("evolve", "trotter"): {
         "--cutoff": st.one_of(_int(-1, 8), st.sampled_from(
             ["2048", "1000000", str(10 ** 30)])),
-        "--t": _FLOAT, "--n": _int_list(-1, 16),
+        "--t": _FLOAT,
+        "--n": _past_cap(_int_list(-1, 16), ("evolve", "trotter"),
+                         "--n values", _counts),
         "--hbar": _FLOAT},
     ("decohere", "sweep"): {
-        "--alpha": _float_list(st.sampled_from(
+        "--alpha": _past_cap(_float_list(st.sampled_from(
             ["0", "-1", "0.2", "0.5", "1", "nan", "inf"])),
+            ("decohere", "sweep"), "--alpha values", _values),
         "--lam": st.one_of(_FLOAT, st.just("1e-15")),
-        "--trials": _int(-1, 32)},
+        "--trials": _past_cap(_int(-1, 32), ("decohere", "sweep"),
+                              "--trials", str)},
     ("lfunc", "green"): {
         "--n": _FLOAT, "--eps": _FLOAT,
-        "--window": st.sampled_from(["0", "-1", "5", "20", "1e15", "1e300",
-                                     "nan", "inf"]),
+        "--window": _past_cap(st.sampled_from(
+            ["0", "-1", "5", "20", "1e15", "1e300", "nan", "inf"]),
+            ("lfunc", "green"), "--window / --dt samples", str),
         "--dt": st.sampled_from(["0", "-1", "0.05", "0.5", "1e-300", "nan",
                                  "inf"]),
         "--hbar": _FLOAT},
     ("lfunc", "sweep"): {
-        "--hbars": _float_list(), "--t": _FLOAT, "--steps": _int(-1, 8)},
+        "--hbars": _past_cap(_float_list(), ("lfunc", "sweep"),
+                             "--hbars values", _values),
+        "--t": _FLOAT,
+        "--steps": _past_cap(_int(-1, 8), ("lfunc", "sweep"),
+                             "--steps x (--hbars values + 1)", str)},
     ("statmech", "sweep"): {
-        "--eps": _float_list(), "--stat": st.sampled_from(["bose", "fermi"]),
-        "--beta": st.one_of(_FLOAT, st.sampled_from(
+        "--eps": _past_cap(_float_list(), ("statmech", "sweep"),
+                           "beta points x (5 + --eps values)",
+                           lambda k: _values(k - 5, "1")),
+        "--stat": st.sampled_from(["bose", "fermi"]),
+        "--beta": _past_cap(st.one_of(_FLOAT, st.sampled_from(
             ["0.1:1:0.1", "1:0.1:0.1", "0.5:2:0", "0:1e15:1", "0.1:inf:1",
-             "1:2", "a:b:c"]))},
+             "1:2", "a:b:c", "1:1.7e308:1.7e308"])), ("statmech", "sweep"),
+            "beta points",
+            lambda k: f"0:{k - 1}:1")},
     ("gns", "construct"): {
         "--rho": st.sampled_from(_STATES),
         "--h": st.sampled_from(_HAMILTONIANS)},

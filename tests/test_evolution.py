@@ -476,6 +476,15 @@ def test_adiabatic_constant_path_phases():
     assert np.abs(res.u - u_exact).max() <= 1e-8
 
 
+def test_adiabatic_eigenvalue_integrals_past_double_range_raise():
+    # Simpson's weight 4 takes an eigenvalue of 6e307 past double range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="double range"):
+            adiabatic_evolve(lambda g: np.diag([0.0, 6e307]), lambda s: 0.0,
+                             0.25)
+
+
 def test_adiabatic_two_level_leakage_small():
     res = adiabatic_evolve(diag_two_level,
                            lambda s: np.sin(np.pi * np.asarray(s)),

@@ -302,6 +302,26 @@ class TestNumberAndHamiltonian:
         h2 = quadratic_hamiltonian_diagonal(spec, eps)
         assert np.allclose(h1, h2, atol=1e-12)
 
+    @pytest.mark.parametrize("build, eps, hbar", [
+        (quadratic_hamiltonian, [5e307, 5e307], 1.0),
+        (quadratic_hamiltonian_diagonal, [5e307, 5e307], 1.0),
+        (quadratic_hamiltonian_diagonal, [-1e308, -1e308], 1.0),
+        # the ladder route scales eps by 1 / hbar
+        (quadratic_hamiltonian, [1e300, 0.0], 1e-10)])
+    def test_energy_past_double_range_raises(self, build, eps, hbar):
+        spec = FockSpec.bose([3, 3], hbar=hbar)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="double range"):
+                build(spec, eps)
+
+    def test_hbar_times_cutoff_past_double_range_raises(self):
+        spec = FockSpec.bose([3], hbar=5e307)
+        with pytest.raises(NumericalError, match="double range"):
+            creation_matrix(spec, 1)
+        assert np.isfinite(creation_matrix(FockSpec.bose([3], hbar=4e307),
+                                           1)).all()
+
     def test_fermi_two_mode_spectrum(self):
         spec = FockSpec.fermi(2)
         h = quadratic_hamiltonian_diagonal(spec, [1.0, 2.0])

@@ -82,7 +82,7 @@ _REJECTED = {
     "tiny-non-hermitian": ([[0.0, 1e-13], [0.0, 0.0]],
                            "hermitian within 1e-12"),
 }
-_SCALES = (1.0, 1e-200, 1e200)
+_SCALES = (1.0, 1e-200, 1e200, 1e308)
 
 
 def _accepts(call, m):
@@ -133,6 +133,18 @@ def test_stacked_rule_holds_each_matrix_to_its_own_scale():
         assert got.tobytes() == _hermitian(m, "one").tobytes()
     with pytest.raises(ValidationError, match="square"):
         _hermitian(big, "stack", stacked=True)
+
+
+def test_hermitian_part_past_double_range_is_refused():
+    # m + m^H overflows at 1e308; the part is refused, not returned as inf
+    for m in ([[1e308]], [[1e308, 0.0], [0.0, 1.0]],
+              [[0.0, 1e308 + 1e308j], [1e308 - 1e308j, 0.0]]):
+        with pytest.raises(ValidationError, match="double range"):
+            _hermitian(np.asarray(m, dtype=complex), "m")
+    # where it is finite, the part is 0.5 (m + m^H) bit for bit
+    m = 1e308 * np.asarray(_STATE, dtype=complex)
+    want = 0.5 * (m + m.conj().T)
+    assert _hermitian(m, "m").tobytes() == want.tobytes()
 
 
 _NAN = [[np.nan, 0.0], [0.0, 1.0]]

@@ -456,6 +456,16 @@ class TestHbarSweep:
 
 
 class TestTwoPointGreen:
+    @pytest.mark.parametrize("eps, hbar, window", [
+        (1e308, 1.0, 20.0), (1e307, 1.0, 200.0), (1.0, 5e307, 20.0)])
+    def test_energies_or_phases_past_double_range_raise(self, eps, hbar,
+                                                        window):
+        taus = np.arange(0.0, window, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="double range"):
+                two_point_green([1.0], [eps], taus, hbar=hbar)
+
     def test_closed_forms_from_ladder_oracle(self):
         taus = np.arange(0.0, 40.0, 0.05)
         res = two_point_green([1.0], [0.7], taus)
