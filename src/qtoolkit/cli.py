@@ -127,6 +127,10 @@ LIMITS = {
     ("decohere", "sweep"): [
         ("--trials", lambda a: a.trials, 1, 1 << 22),
         ("--alpha values", lambda a: len(_floats(a.alpha)), 1, 16)],
+    # grassmann.GENERATORS_MAX, restated so the check loads no grassmann
+    ("grassmann", "eval"): [
+        ("--modes", lambda a: 0 if a.modes is None else a.modes, 0,
+         1 << 16)],
     ("lfunc", "green"): [
         ("--window / --dt samples", _green_samples, None, 100_000)],
     # one RK4 lattice per --hbars value and one classical: memory grows

@@ -6,10 +6,23 @@ products carry the parity sign of the merge.  Concatenating monomial a then
 b moves each generator k of b past the generators of a above k, so the sign
 is (-1)^popcount(b & P(a)), where bit k of the parity mask P(a) is set when
 an odd number of the generators of a lie above k; `multiply` forms P(a) once
-per left monomial.  The Gaussian integral of
-exp(1/2 sum a_ij e_i e_j) is the Pfaffian of a, computed in O(n^3) by
-Parlett-Reid elimination (the polynomial branch of det^{1/2}: block-diagonal
-blocks lambda_1..lambda_k integrate to lambda_1*...*lambda_k).
+per left monomial.
+
+`multiply` has two routes with the same bytes.  The dict loop over term
+pairs is the only one for fewer than ARRAY_PAIRS pairs, for masks of 64
+bits or more, and in a process that has not loaded numpy, so `grassmann
+eval` starts without it.  Otherwise the product runs on int64 masks and
+float64 parts.  It agrees bit for bit with the loop for three reasons:
+each product sign * ca * cb is formed part by part with separate float64
+operations, as CPython's unfused complex multiply rounds it (numpy's
+complex128 multiply differs in the last bit); each key's products are
+added one at a time in the loop's pair order, starting from 0; and keys
+are emitted in order of first occurrence.
+
+The Gaussian integral of exp(1/2 sum a_ij e_i e_j) is the Pfaffian of a,
+computed in O(n^3) by Parlett-Reid elimination (the polynomial branch of
+det^{1/2}: block-diagonal blocks lambda_1..lambda_k integrate to
+lambda_1*...*lambda_k).
 
 exp, cos and sin of an even element are the finite Taylor series at its
 body a.  f(a) and its derivatives come from cmath, so exp, cos and sin
@@ -17,7 +30,7 @@ load no numpy, and a value beyond double range is a NumericalError.  Each
 coefficient f^(l)(a) / l! is a multiply by the reciprocal of l!, the
 rounding of numpy's complex / int.  numpy loads only in the functions that
 take a matrix: `pfaffian`, the Gaussian integrals and
-`linear_change_of_variables`.
+`linear_change_of_variables`; `multiply` uses it only once it is loaded.
 
 A small mixed algebra (commuting variables x_i tensor Grassmann xi_i) backs
 the differentials d = sum xi_i d/dx_i and Delta = sum d/dx_i d/dxi_i, both
@@ -28,7 +41,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
+import sys
 from dataclasses import dataclass
+from itertools import repeat
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .errors import (NumericalError, ValidationError, _require_index,
@@ -60,6 +76,15 @@ __all__ = [
     "parse_expression",
     "format_element",
 ]
+
+
+# `multiply` takes the array route from this many term pairs on, once numpy
+# is loaded and every mask fits an int64; the route works through row
+# blocks of at most BLOCK_PAIRS pairs
+ARRAY_PAIRS = 768
+BLOCK_PAIRS = 1 << 16
+# the most generators `parse_expression` admits, in its text or its n
+GENERATORS_MAX = 1 << 16
 
 
 def _parity_mask(mask_a: int) -> int:
@@ -159,17 +184,97 @@ def generator(n: int, i: int) -> GrassmannElement:
 
 def multiply(x: GrassmannElement, y: GrassmannElement) -> GrassmannElement:
     x._compatible(y)
+    if (x.n < 64 and len(x.terms) * len(y.terms) >= ARRAY_PAIRS
+            and "numpy" in sys.modules):
+        out = _multiply_arrays(x.terms, y.terms)
+    else:
+        out = _multiply_dicts(x.terms, y.terms)
+    return GrassmannElement._valid(x.n, out)
+
+
+def _multiply_dicts(xt: dict, yt: dict) -> dict:
     out: dict = {}
-    for ma, ca in x.terms.items():
+    for ma, ca in xt.items():
         parity = _parity_mask(ma)
         signed = (1 * ca, -1 * ca)  # sign * ca, by the parity of crossings
-        for mb, cb in y.terms.items():
+        for mb, cb in yt.items():
             if ma & mb:
                 continue
             key = ma | mb
             out[key] = (out.get(key, 0j)
                         + signed[(mb & parity).bit_count() & 1] * cb)
-    return GrassmannElement._valid(x.n, out)
+    return out
+
+
+def _multiply_arrays(xt: dict, yt: dict) -> dict:
+    """`_multiply_dicts(xt, yt)` bit for bit, on int64 masks and float64
+    parts; every mask must lie below 2**63.
+
+    The pairs run x-major, in blocks of whole rows of at most BLOCK_PAIRS
+    pairs (one row when y alone has more terms).  Each product is formed
+    part by part as CPython's complex multiply does, np.add.at adds a key's
+    products one at a time in pair order starting from 0, as the dict loop
+    does, and keys come out in order of first occurrence.
+    """
+    import numpy as np
+
+    xm = np.fromiter(xt, np.int64, len(xt))
+    parity = xm >> 1  # _parity_mask of every x mask
+    for shift in (1, 2, 4, 8, 16, 32):
+        parity ^= parity >> shift
+    # +ca and -ca as CPython rounds int * complex: 1 * (2-0j) is (2+0j)
+    plus = np.fromiter(map(operator.mul, repeat(1), xt.values()), complex,
+                       len(xt))
+    minus = np.fromiter(map(operator.mul, repeat(-1), xt.values()), complex,
+                        len(xt))
+    sr = np.stack([plus.real, minus.real], axis=1)
+    si = np.stack([plus.imag, minus.imag], axis=1)
+    ym = np.fromiter(yt, np.int64, len(yt))
+    yc = np.fromiter(yt.values(), complex, len(yt))
+    yr, yi = yc.real, yc.imag
+    keys = np.empty(0, np.int64)  # by slot, in order of first occurrence
+    sums = np.empty(0, complex)
+    rows = max(1, BLOCK_PAIRS // len(yt))
+    for start in range(0, len(xm), rows):
+        i, j = np.nonzero((xm[start:start + rows, None] & ym) == 0)
+        if not len(i):
+            continue
+        i += start
+        odd = np.bitwise_count(parity[i] & ym[j]) & 1
+        ar, ai, br, bi = sr[i, odd], si[i, odd], yr[j], yi[j]
+        terms = np.empty(len(i), complex)
+        with np.errstate(all="ignore"):  # inf and nan pass, as in Python
+            terms.real = ar * br - ai * bi
+            terms.imag = ar * bi + ai * br
+        # the block's distinct keys, the first pair and the group of each;
+        # numpy's default sort, since a stable int64 sort costs several
+        # times as much
+        key = xm[i] | ym[j]
+        order = np.argsort(key)
+        step = np.empty(len(key), np.intp)  # 1 where a new key starts
+        step[0] = 1
+        np.not_equal(key[order[1:]], key[order[:-1]], out=step[1:])
+        starts = np.flatnonzero(step)
+        unique = key[order[starts]]
+        first = np.minimum.reduceat(order, starts)
+        inverse = np.empty(len(key), np.intp)
+        inverse[order] = np.cumsum(step) - 1
+        # slots of the keys earlier blocks met, then new slots by first pair
+        slot = np.full(len(unique), -1)
+        if len(keys):
+            by_key = np.argsort(keys)
+            at = np.searchsorted(keys, unique, sorter=by_key)
+            at = by_key[np.minimum(at, len(keys) - 1)]
+            hit = keys[at] == unique
+            slot[hit] = at[hit]
+        new = np.flatnonzero(slot < 0)
+        new = new[np.argsort(first[new])]
+        slot[new] = np.arange(len(keys), len(keys) + len(new))
+        keys = np.concatenate([keys, unique[new]])
+        sums = np.concatenate([sums, np.zeros(len(new), complex)])
+        with np.errstate(all="ignore"):
+            np.add.at(sums, slot[inverse], terms)
+    return dict(zip(keys.tolist(), sums.tolist()))
 
 
 def left_derivative(i: int, x: GrassmannElement) -> GrassmannElement:
@@ -515,6 +620,11 @@ def delta_operator(x: MixedElement) -> MixedElement:
 # Numbers may carry a trailing 'i' for imaginary literals.
 
 
+def _is_digit(c: str) -> bool:
+    # ASCII only: str.isdigit also takes '²', which int() refuses
+    return "0" <= c <= "9"
+
+
 class _Tokenizer:
     def __init__(self, text: str):
         self.text = text
@@ -547,12 +657,25 @@ def parse_expression(text: str, n: int | None = None) -> GrassmannElement:
         ch = probe.peek()
         if not ch:
             break
-        if ch == "e" and probe.pos + 1 < len(text) and text[probe.pos + 1].isdigit():
+        if ch == "e" and _is_digit(text[probe.pos + 1:probe.pos + 2]):
             probe.pos += 1
-            indices.append(int(probe.take_while(str.isdigit)))
+            digits = probe.take_while(_is_digit)
+            # no int() of a long digit string, no 1 << index past the cap
+            if (len(digits.lstrip("0")) > len(str(GENERATORS_MAX))
+                    or int(digits) > GENERATORS_MAX):
+                raise ValidationError(
+                    f"generator index past {GENERATORS_MAX}: e{digits[:20]}"
+                    + ("..." if len(digits) > 20 else ""))
+            indices.append(int(digits))
         else:
             probe.pos += 1
-    size = n if n is not None else (max(indices) if indices else 0)
+    if n is None:
+        size = max(indices) if indices else 0
+    else:
+        size = _require_int(n, "generator count", 0)
+        if size > GENERATORS_MAX:
+            raise ValidationError(
+                f"generator count {size} exceeds {GENERATORS_MAX}")
     if indices and max(indices) > size:
         raise ValidationError(
             f"generator e{max(indices)} exceeds algebra size {size}")
@@ -588,7 +711,7 @@ def parse_expression(text: str, n: int | None = None) -> GrassmannElement:
         value = parse_atom()
         while tok.peek() == "^":
             tok.pos += 1
-            digits = tok.take_while(str.isdigit)
+            digits = tok.take_while(_is_digit)
             if not digits:
                 raise ValidationError("missing exponent after '^'")
             try:
@@ -610,8 +733,8 @@ def parse_expression(text: str, n: int | None = None) -> GrassmannElement:
                 raise ValidationError("unbalanced parenthesis")
             tok.pos += 1
             return inner
-        if ch.isdigit() or ch == ".":
-            number = tok.take_while(lambda c: c.isdigit() or c == ".")
+        if _is_digit(ch) or ch == ".":
+            number = tok.take_while(lambda c: _is_digit(c) or c == ".")
             imag = False
             if tok.peek() == "i":
                 tok.pos += 1
@@ -624,9 +747,9 @@ def parse_expression(text: str, n: int | None = None) -> GrassmannElement:
                 raise ValidationError(f"a number of {len(number)} digits "
                                       "exceeds double range")
             return scalar(size, 1j * val if imag else val)
-        if ch == "e" and tok.pos + 1 < len(tok.text) and tok.text[tok.pos + 1].isdigit():
+        if ch == "e" and _is_digit(text[tok.pos + 1:tok.pos + 2]):
             tok.pos += 1
-            idx = int(tok.take_while(str.isdigit))
+            idx = int(tok.take_while(_is_digit))
             return generator(size, idx)
         name = tok.take_while(str.isalpha)
         if name in ("cos", "sin", "exp"):
@@ -662,7 +785,12 @@ def format_element(x: GrassmannElement) -> str:
     parts: list[str] = []
     for mask in sorted(x.terms, key=lambda m: (m.bit_count(), m)):
         coeff = x.terms[mask]
-        mono = " ".join(f"e{i + 1}" for i in range(x.n) if mask >> i & 1)
+        names, rest = [], mask
+        while rest:  # the set bits, lowest first
+            low = rest & -rest
+            names.append(f"e{low.bit_length()}")
+            rest ^= low
+        mono = " ".join(names)
         if coeff.imag == 0:
             value = coeff.real
             sign = "-" if value < 0 else "+"

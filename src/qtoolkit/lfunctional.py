@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -42,7 +42,9 @@ from .errors import (NumericalError, ValidationError, _hermitian,
 from .fock import (DensityMatrix, FockSpec, _letter_tables, _monomials,
                    annihilation_matrix, creation_matrix)
 from .serialize import matrix_from_json, matrix_to_json
-from .weyl_clifford import NormalOrderedPolynomial, involution
+
+if TYPE_CHECKING:
+    from .weyl_clifford import NormalOrderedPolynomial
 
 __all__ = [
     "TaylorLFunctional",
@@ -551,6 +553,8 @@ def evolve_L(l0: TaylorLFunctional, h: NormalOrderedPolynomial, t: float,
     integrated by exact exponentiation of the generator over `steps` equal
     time slices.
     """
+    from .weyl_clifford import involution
+
     if h.statistics != "bose":
         raise ValidationError("evolution requires a bosonic Hamiltonian")
     if h.modes != l0.modes:

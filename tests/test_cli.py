@@ -50,6 +50,17 @@ def fresh_python(args):
 
 _BIG = "9" * 200  # finite, but its square is not
 
+# generator indices that are no ASCII number, or past the generator cap:
+# int() refuses the first and third, 1 << index overflows on the second,
+# and an algebra of a million generators is slow to print
+_BAD_INDICES = {
+    "grassmann-superscript-index": "e\u00b2",
+    "grassmann-index-past-int64": "e1 e99999999999999999999999999",
+    "grassmann-index-past-int-digits": "e1 e" + "9" * 5000,
+    "grassmann-index-million": "e1000000",
+    "grassmann-index-one-past-cap": "e65537",
+}
+
 
 def _high(command, quantity):
     """The upper bound of one row of cli.LIMITS."""
@@ -108,6 +119,9 @@ _CAPS = {
         "--alpha values", lambda h: h,
         lambda k: ["decohere", "sweep", "--trials", "64", "--alpha",
                    _values(k)]),
+    "grassmann-modes": (
+        "grassmann", "parse_expression", ("grassmann", "eval"), "--modes",
+        lambda h: h, lambda k: ["grassmann", "eval", "e1", "--modes", str(k)]),
     "green-samples": (
         "lfunctional", "two_point_green", ("lfunc", "green"),
         "--window / --dt samples", lambda h: h,
@@ -220,6 +234,10 @@ class TestExitCodes:
         (["lfunc", "green", "--eps", "1e308"], 3, "numerical"),
         (["decohere", "sweep", "--alpha", ","], 2, "validation"),
         (["lfunc", "sweep", "--hbars", ","], 2, "validation"),
+        *[(["grassmann", "eval", text], 2, "validation")
+          for text in _BAD_INDICES.values()],
+        (["grassmann", "eval", "e1^\u00b2"], 2, "validation"),
+        (["grassmann", "eval", "\u0663 e1"], 2, "validation"),
     ], ids=["green-dt-zero", "green-window-nan", "green-window-inf",
             "green-negative-window-tiny-dt",
             "trotter-no-slices",
@@ -235,7 +253,9 @@ class TestExitCodes:
             "grassmann-literal-overflow", "grassmann-product-overflow",
             "grassmann-product-overflow-csv", "spectrum-energy-overflow",
             "spectrum-energy-in-range", "green-energy-overflow",
-            "decohere-no-alphas", "sweep-no-hbars"])
+            "decohere-no-alphas", "sweep-no-hbars", *_BAD_INDICES,
+            "grassmann-superscript-exponent",
+            "grassmann-arabic-indic-digit"])
     def test_bad_input_exits_with_json_not_traceback(self, argv, code, kind,
                                                      tmp_path, capsys):
         argv = [a.format(missing_dir=tmp_path / "missing") for a in argv]
@@ -291,6 +311,11 @@ class TestExitCodes:
             assert message["error"] == "validation"
             assert message["message"].startswith(f"{quantity} is ")
             assert message["message"].endswith(f"; at most {high}")
+
+    def test_generator_cap_is_the_library_cap(self):
+        from qtoolkit.grassmann import GENERATORS_MAX
+
+        assert _high(("grassmann", "eval"), "--modes") == GENERATORS_MAX
 
     def test_every_cap_has_a_case(self):
         capped = {(command, quantity)
@@ -610,9 +635,10 @@ class TestImport:
         (["grassmann", "eval", "(1 + 2 e1)(e2 - 0.5i e1 e3)^2"], 0),
         *[(argv(cap(_high(command, quantity)) + 1), 2)
           for _, _, command, quantity, cap, argv in _CAPS.values()],
+        *[(["grassmann", "eval", text], 2) for text in _BAD_INDICES.values()],
     ], ids=["help", "usage-error", "bad-seed", "grassmann-exp",
             "grassmann-cos", "grassmann-sin", "grassmann-product",
-            *[f"{case}-past-cap" for case in _CAPS]])
+            *[f"{case}-past-cap" for case in _CAPS], *_BAD_INDICES])
     def test_command_without_arrays_loads_no_numpy(self, argv, code):
         proc = fresh_python(["-c", (
             "import json, sys\n"
@@ -622,6 +648,24 @@ class TestImport:
             json.dumps(argv)])
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == [code, False]
+
+    @pytest.mark.parametrize("argv, modules", [
+        (["lfunc", "green"], ["fock", "lfunctional"]),
+        (["lfunc", "sweep", "--steps", "8"],
+         ["evolution", "fock", "lfunctional"]),
+    ], ids=["lfunc-green", "lfunc-sweep"])
+    def test_command_loads_only_its_modules(self, argv, modules):
+        proc = fresh_python(["-c", (
+            "import json, sys\n"
+            "from qtoolkit.cli import run\n"
+            "code = run(json.loads(sys.argv[1]) + ['--out', sys.argv[2]])\n"
+            "print(json.dumps([code, sorted(m for m in sys.modules "
+            "if m.startswith('qtoolkit.'))]))\n"),
+            json.dumps(argv), os.devnull])
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [0, sorted(
+            f"qtoolkit.{m}" for m in ("cli", "errors", "serialize",
+                                      *modules))]
 
     def test_package_import_loads_no_numpy(self):
         # errors.py states every input rule without importing numpy

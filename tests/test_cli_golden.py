@@ -107,6 +107,9 @@ ARGVS = [
     # the --hbars cap of `lfunc sweep`: 64 values, at the default steps
     ["lfunc", "sweep", "--hbars",
      ",".join(f"{0.3 * 0.9 ** k:.4g}" for k in range(64))],
+    # the generator cap of `grassmann eval`: index e65536 and --modes 65536
+    ["grassmann", "eval", "exp(e1 e65536) + 2 e2 e3 - e65536"],
+    ["grassmann", "eval", "cos(e1 e2 + e3 e4)", "--modes", "65536"],
 ]
 
 

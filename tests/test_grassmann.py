@@ -1,10 +1,13 @@
 import cmath
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qtoolkit import grassmann
 from qtoolkit.errors import NumericalError, ValidationError
 from qtoolkit.grassmann import (
     GrassmannElement,
@@ -32,6 +35,7 @@ from qtoolkit.grassmann import (
 from qtoolkit.grassmann import _power
 
 from oracles import elementary_numpy, pfaffian_expansion
+from test_cli import fresh_python
 
 
 def eps(n, *indices):
@@ -522,3 +526,165 @@ class TestExpressionLanguage:
     def test_unbalanced_paren_rejected(self):
         with pytest.raises(ValidationError):
             parse_expression("cos(e1 e2")
+
+    def test_generators_up_to_the_cap(self):
+        top = grassmann.GENERATORS_MAX
+        x = parse_expression(f"e1 e{top:07d} + 2 e{top}")
+        assert x.n == top
+        assert format_element(x) == f"2 e{top} + e1 e{top}"
+        assert parse_expression("e1", n=top).n == top
+
+    @pytest.mark.parametrize("text, n", [
+        (f"e{grassmann.GENERATORS_MAX + 1}", None),
+        ("e" + "9" * 5000, None),
+        ("e1", grassmann.GENERATORS_MAX + 1),
+        ("e\u00b2", None), ("e1^\u00b2", None), ("\u0663 e1", None),
+        ("e1", -1), ("e1", True)],
+        ids=["one-past-cap", "past-int-digits", "n-past-cap",
+             "superscript-index", "superscript-exponent",
+             "arabic-indic-digit", "negative-n", "bool-n"])
+    def test_indices_past_the_cap_or_not_ascii_are_refused(self, text, n):
+        with pytest.raises(ValidationError):
+            parse_expression(text, n)
+
+
+# the array route of multiply against the dict loop, byte for byte
+
+# parts with signed zeros, subnormals and values near double range, where a
+# product overflows and rounding differs first
+_EDGE_PARTS = [0.0, -0.0, 1.0, -1.0, 0.5, 0.1, -1.7, 5e-324, -5e-324,
+               1e-310, 2.2250738585072014e-308, 1e200, -1.5e308,
+               1.7976931348623157e308]
+
+
+def _hex_terms(terms):
+    return [(mask, c.real.hex(), c.imag.hex()) for mask, c in terms.items()]
+
+
+def _edge_terms(rng, bits, count):
+    """Up to `count` terms whose masks are subsets of `bits`, so keys meet
+    often, with coefficients that mix edge parts and normal draws."""
+    terms = {}
+    for _ in range(count):
+        mask = sum(1 << b for b in bits if rng.integers(0, 2))
+        if rng.integers(0, 2):
+            coeff = complex(*rng.choice(_EDGE_PARTS, size=2))
+        else:
+            coeff = complex(*rng.normal(size=2))
+        terms[mask] = coeff
+    return terms
+
+
+class TestArrayRoute:
+    @pytest.mark.parametrize("n", [10, 40, 62, 63])
+    @pytest.mark.parametrize("count_x, count_y", [
+        (1, 1), (20, 30), (30, 30), (64, 12), (300, 300)],
+        ids=["one-pair", "600-pairs", "900-pairs", "768-pairs",
+             "across-a-block-edge"])
+    def test_same_bytes_as_the_dict_loop(self, n, count_x, count_y):
+        rng = np.random.default_rng(n * 1000 + count_x)
+        # 14 of the n bits, the top one (bit 62 at n = 63) among them
+        bits = sorted({n - 1, *rng.choice(n, size=min(n, 13),
+                                          replace=False).tolist()})
+        xt = _edge_terms(rng, bits, count_x)
+        yt = _edge_terms(rng, bits, count_y)
+        want = grassmann._multiply_dicts(xt, yt)
+        got = grassmann._multiply_arrays(xt, yt)
+        assert _hex_terms(got) == _hex_terms(want)
+        assert ((len(xt) * len(yt) > grassmann.BLOCK_PAIRS)
+                == (count_x == 300))
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 1000])
+    def test_keys_met_again_in_later_blocks(self, block, monkeypatch):
+        rng = np.random.default_rng(block)
+        xt = _edge_terms(rng, range(9), 120)
+        yt = _edge_terms(rng, range(9), 40)
+        monkeypatch.setattr(grassmann, "BLOCK_PAIRS", block)
+        assert (_hex_terms(grassmann._multiply_arrays(xt, yt))
+                == _hex_terms(grassmann._multiply_dicts(xt, yt)))
+
+    def test_no_valid_pair_gives_no_term(self):
+        xt = {1 | 2 * k: 1.5 + 0j for k in range(40)}
+        assert grassmann._multiply_arrays(xt, xt) == {}
+
+    def test_unit_multiply_keeps_cpython_rounding(self):
+        # CPython's 1 * (2-0j) is (2+0j) and 1 * complex(2, inf) is
+        # complex(nan, inf): the sign multiply is kept
+        xt = {0: complex(2.0, -0.0), 1: complex(-0.0, -0.0),
+              8: complex(2.0, math.inf)}
+        yt = {2: 1.0 + 0j, 16: complex(-0.0, 1.0), 32: 1.0 + 0j}
+        assert (_hex_terms(grassmann._multiply_arrays(xt, yt))
+                == _hex_terms(grassmann._multiply_dicts(xt, yt)))
+
+    @pytest.mark.parametrize("n, extra, taken", [
+        (63, 12, True), (64, 12, False), (10, 1, True), (10, 0, False)],
+        ids=["63-bits", "64-bits", "at-threshold", "below-threshold"])
+    def test_route_follows_the_operands(self, n, extra, taken, monkeypatch):
+        # count^2 pairs: at least ARRAY_PAIRS from extra = 1 on
+        count = math.isqrt(grassmann.ARRAY_PAIRS - 1) + extra
+        calls = []
+        arrays = grassmann._multiply_arrays
+        monkeypatch.setattr(grassmann, "_multiply_arrays",
+                            lambda x, y: calls.append(1) or arrays(x, y))
+        rng = np.random.default_rng(n + count)
+        bits = sorted({n - 1, *rng.choice(n, size=9, replace=False).tolist()})
+        x = GrassmannElement(n, _edge_terms(rng, bits, 4 * count))
+        x = GrassmannElement(n, dict(list(x.terms.items())[:count]))
+        assert len(x.terms) == count
+        got = multiply(x, x)
+        assert bool(calls) == taken
+        assert _hex_terms(got.terms) == _hex_terms(
+            GrassmannElement._valid(
+                n, grassmann._multiply_dicts(x.terms, x.terms)).terms)
+
+    def test_peak_memory_stays_within_a_block(self, monkeypatch):
+        # all 1,024 masks of 10 generators times the first `rows`: at 1,024
+        # rows 2^20 pairs in 16 blocks, whose pair table as int64 would be
+        # 8 MiB on its own
+        xt = {m: complex(m, -m) for m in range(1 << 10)}
+
+        def peak(rows):
+            x = dict(list(xt.items())[:rows])
+            tracemalloc.start()
+            try:
+                grassmann._multiply_arrays(x, xt)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        rows = grassmann.BLOCK_PAIRS >> 10
+        peak(rows)  # numpy's first-call allocations
+        one_block, sixteen = peak(rows), peak(1 << 10)
+        monkeypatch.setattr(grassmann, "BLOCK_PAIRS", 1 << 20)
+        unblocked = peak(1 << 10)
+        assert sixteen < 2 * one_block
+        assert 3 * sixteen < unblocked
+
+    def test_parse_gives_the_same_bytes_with_and_without_numpy(self):
+        inner = " + ".join(
+            f"{(7 * i + 3 * j) % 11 / 7 - 0.6!r} e{i} e{j}"
+            for i in range(1, 11) for j in range(i + 1, 11))
+        script = (
+            "import json, sys\n"
+            "if sys.argv[1] == 'numpy':\n"
+            "    import numpy\n"
+            "from qtoolkit import grassmann as g\n"
+            "calls = []\n"
+            "arrays = g._multiply_arrays\n"
+            "g._multiply_arrays = lambda x, y: calls.append(1) or "
+            "arrays(x, y)\n"
+            "out = [[[m, c.real.hex(), c.imag.hex()] for m, c in "
+            "g.parse_expression(f).terms.items()] for f in sys.argv[2:]]\n"
+            "print(json.dumps([out, len(calls), 'numpy' in sys.modules]))\n")
+        texts = [f"exp(0.3 + 0.2i + {inner})", f"cos(0.7i + {inner})"]
+        results = []
+        for mode in ("numpy", "plain"):
+            proc = fresh_python(["-c", script, mode, *texts])
+            assert proc.returncode == 0, proc.stderr
+            results.append(json.loads(proc.stdout))
+        (with_numpy, calls, loaded), (without, none, absent) = results
+        assert calls > 0 and loaded
+        assert none == 0 and not absent
+        assert with_numpy == without
+        assert all(len(terms) > 200 for terms in with_numpy)
+
